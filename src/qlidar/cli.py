@@ -69,17 +69,19 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str)
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_state(kind_name: str, alpha2: float, zeta2: float | None = None) -> SuperposedState:
+def _parse_state(kind_name: str, amplitude: complex | None = None, energy: float = 0.0) -> SuperposedState:
+    """Named input state at a coherent amplitude, or at sqrt(energy) if none is given."""
     name = kind_name.strip().lower()
     if name == "vacuum":
         return vacuum()
     kind = StateKind.parse(name)
     if kind is StateKind.CUSTOM:
         raise InvalidSpec("custom states are not constructible from flags")
-    energy = alpha2 if zeta2 is None else zeta2
-    if energy < 0:
-        raise InvalidSpec("state energy must be nonnegative")
-    return make_state(kind, math.sqrt(energy))
+    if amplitude is None:
+        if energy < 0:
+            raise InvalidSpec("state energy must be nonnegative")
+        amplitude = math.sqrt(energy)
+    return make_state(kind, amplitude)
 
 
 def _phi_grid(spec) -> np.ndarray:
@@ -100,13 +102,13 @@ def cmd_signal(spec) -> int:
     names = [s.strip().lower() for s in spec.state_a.split(",") if s.strip()]
     if not names:
         raise InvalidSpec("state-a must name at least one state")
-    state_b = _parse_state(spec.state_b, spec.alpha2, spec.zeta2)
+    state_b = _parse_state(spec.state_b, energy=spec.zeta2)
     scheme = Scheme.parse(spec.scheme)
     phis = _phi_grid(spec)
     loss_r = _check_loss(spec.loss_r)
     columns = []
     for name in names:
-        state_a = _parse_state(name, spec.alpha2)
+        state_a = _parse_state(name, energy=spec.alpha2)
         columns.append(detection.expectation_curve(state_a, state_b, scheme, phis, loss_r))
     if len(names) == 1:
         header = ["phi", "value"]
@@ -118,8 +120,8 @@ def cmd_signal(spec) -> int:
 
 
 def cmd_sensitivity(spec) -> int:
-    state_a = _parse_state(spec.state_a, spec.alpha2)
-    state_b = _parse_state(spec.state_b, spec.alpha2, spec.zeta2)
+    state_a = _parse_state(spec.state_a, energy=spec.alpha2)
+    state_b = _parse_state(spec.state_b, energy=spec.zeta2)
     scheme = Scheme.parse(spec.scheme)
     phis = _phi_grid(spec)
     loss_r = _check_loss(spec.loss_r)
@@ -144,11 +146,11 @@ def cmd_fwhm(spec) -> int:
         row = [float(x)]
         for name in SIX_STATES:
             if spec.sweep == "alpha2":
-                state_a = _parse_state(name, float(x))
+                state_a = _parse_state(name, energy=float(x))
                 state_b = vacuum()
             else:
-                state_a = _parse_state(name, spec.alpha2)
-                state_b = _parse_state("cs", spec.alpha2, float(x))
+                state_a = _parse_state(name, energy=spec.alpha2)
+                state_b = _parse_state("cs", energy=float(x))
             curve = metrology.sample_curve(state_a, state_b, scheme, loss_r=loss_r)
             row.append(metrology.fwhm(curve))
         rows.append(row)
@@ -158,14 +160,7 @@ def cmd_fwhm(spec) -> int:
 
 
 def cmd_wigner(spec) -> int:
-    name = spec.state_a.strip().lower()
-    if name == "vacuum":
-        state = vacuum()
-    else:
-        kind = StateKind.parse(name)
-        if kind is StateKind.CUSTOM:
-            raise InvalidSpec("custom states are not constructible from flags")
-        state = make_state(kind, complex(spec.alpha_re, spec.alpha_im))
+    state = _parse_state(spec.state_a, complex(spec.alpha_re, spec.alpha_im))
     if spec.resolution < 2:
         raise InvalidSpec("resolution must be at least 2")
     half = spec.window if spec.window is not None else wigner.default_window(state)
@@ -185,8 +180,8 @@ def cmd_loss(spec) -> int:
         raise InvalidSpec("r-steps must be at least 1")
     if not 0.0 <= spec.r_min <= spec.r_max < 1.0:
         raise InvalidSpec("loss grid must satisfy 0 <= r-min <= r-max < 1")
-    state_a = _parse_state(spec.state_a, spec.alpha2)
-    state_b = _parse_state(spec.state_b, spec.alpha2, spec.zeta2)
+    state_a = _parse_state(spec.state_a, energy=spec.alpha2)
+    state_b = _parse_state(spec.state_b, energy=spec.zeta2)
     scheme = Scheme.parse(spec.scheme)
     r_grid = np.linspace(spec.r_min, spec.r_max, spec.r_steps)
     rows = [list(item) for item in metrology.loss_sweep(state_a, state_b, spec.phi, scheme, r_grid, spec.metric)]
@@ -220,8 +215,8 @@ def cmd_oracle_check(spec) -> int:
     rows = []
     worst = (0.0, None)
     for name, a2, z2, phi, r in oracle_grid(spec.quick):
-        state_a = _parse_state(name, a2)
-        state_b = vacuum() if z2 == 0.0 else _parse_state("cs", a2, z2)
+        state_a = _parse_state(name, energy=a2)
+        state_b = vacuum() if z2 == 0.0 else _parse_state("cs", energy=z2)
         config = MziConfig(phi=phi, loss_r=r)
         out = propagate(state_a, state_b, config)
         result = fock_oracle.simulate(state_a, state_b, config)

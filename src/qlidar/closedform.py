@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .interferometer import MziConfig
-from .states import MPS_INDEX, StateKind
+from .states import StateKind
 
 # (|A|, |B|, |C|, |D|) coefficient moduli and phase index j per state kind
 COEFFICIENTS = {
@@ -179,7 +178,7 @@ def _pois(mean: float, n: int) -> float:
     """mean^n / n! with log-range safety."""
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mean) - gammaln(n + 1))
+    return math.exp(n * math.log(mean) - math.lgamma(n + 1))
 
 
 def photon_prob_vacuum(ctx: ClosedFormContext, n: int) -> float:
@@ -417,7 +416,7 @@ def photon_prob_coherent(ctx: ClosedFormContext, n: int) -> float:
                 continue
             bilinear = np.sum(amps[m, 1:] * np.conj(amps[k, 1:]))
             z = amps[m, 0] * np.conj(amps[k, 0])
-            zn = z**n / math.exp(gammaln(n + 1)) if z != 0 else (1.0 if n == 0 else 0.0)
+            zn = z**n / math.exp(math.lgamma(n + 1)) if z != 0 else (1.0 if n == 0 else 0.0)
             cross = coeffs[m] * np.conj(coeffs[k]) * np.exp(bilinear) * zn
             val += pref * 2.0 * cross.real
     return ctx.norm_sq * val

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
-from .interferometer import FourModeOutput, MziConfig, mode_transform, mode_transform_derivative
+from .interferometer import FourModeOutput, MziConfig, _input_pairs, propagate
 from .states import CoherentDyad, CoherentDyadMixture, SuperposedState
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -62,8 +61,7 @@ def _real_part(value: complex, what: str) -> float:
 
 def _pair_data(out: FourModeOutput):
     """Weights, port-a amplitudes, and the product of the three traced-mode overlaps."""
-    w = out.weights()
-    amps = out.amplitude_matrix()
+    w, amps = out.weights, out.amplitudes
     rest = np.ones((len(w), len(w)), dtype=complex)
     for m in (1, 2, 3):
         u = amps[:, m]
@@ -72,40 +70,66 @@ def _pair_data(out: FourModeOutput):
     return w, amps[:, 0], rest
 
 
+def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff: int) -> np.ndarray:
+    """P(0..cutoff) at port a in one pass over the pair data of :func:`_pair_data`.
+
+    Pair term (i, j) of P(n) is its n = 0 term times z_ij^n / n!, with
+    z_ij = conj(a_i) a_j; it is evaluated as one exponential per n so that
+    large port intensities do not underflow the n = 0 factor.
+    """
+    aa = np.abs(a) ** 2
+    gauss = -0.5 * (aa[:, None] + aa[None, :])
+    z = np.conj(a)[:, None] * a[None, :]
+    nz = z != 0
+    log_z = np.log(z[nz])
+    probs = np.empty(cutoff + 1)
+    for n in range(cutoff + 1):
+        if n == 0:
+            port = np.exp(gauss)
+        else:
+            port = np.zeros_like(z)
+            port[nz] = np.exp(gauss[nz] + n * log_z - math.lgamma(n + 1))
+        val = _real_part(np.conj(w) @ (port * rest) @ w, f"P({n})")
+        if val < NEGATIVE_PROBABILITY_TOL:
+            raise NegativeProbability(f"P({n}) = {val:.3e}")
+        probs[n] = min(max(val, 0.0), 1.0)
+    return probs
+
+
 def photon_probability(out: FourModeOutput, n: int) -> float:
     """Probability of counting exactly n photons at port a."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    w, a, rest = _pair_data(out)
-    aa = np.abs(a) ** 2
-    gauss = -0.5 * (aa[:, None] + aa[None, :])
-    z = np.conj(a)[:, None] * a[None, :]
-    if n == 0:
-        port = np.exp(gauss)
-    else:
-        port = np.zeros_like(z)
-        nz = z != 0
-        port[nz] = np.exp(gauss[nz] + n * np.log(z[nz]) - gammaln(n + 1))
-    val = _real_part(np.conj(w) @ (port * rest) @ w, f"P({n})")
-    if val < NEGATIVE_PROBABILITY_TOL:
-        raise NegativeProbability(f"P({n}) = {val:.3e}")
-    return min(max(val, 0.0), 1.0)
+    return float(_photon_probabilities(*_pair_data(out), n)[n])
 
 
 def default_cutoff(out: FourModeOutput) -> int:
     """Truncation making the port-a Poisson tails negligible for every term."""
-    mean = float(np.max(np.abs(out.amplitude_matrix()[:, 0]) ** 2))
+    mean = float(np.max(np.abs(out.amplitudes[:, 0]) ** 2))
     return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0))
+
+
+def _poisson_tail_bound(mean: float, cutoff: int) -> float:
+    """Upper bound on P(X > cutoff) for X ~ Poisson(mean).
+
+    Beyond the cutoff successive terms shrink by at least mean / (cutoff + 2),
+    so the tail is at most its first term over one minus that ratio.
+    """
+    if mean == 0.0:
+        return 0.0
+    if mean >= cutoff + 2:
+        return 1.0
+    first = math.exp(-mean + (cutoff + 1) * math.log(mean) - math.lgamma(cutoff + 2))
+    return min(1.0, first / (1.0 - mean / (cutoff + 2)))
 
 
 def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDistribution:
     """P(n) for n = 0..cutoff with a Cauchy-Schwarz bound on the dropped tail."""
     if cutoff is None:
         cutoff = default_cutoff(out)
-    probs = np.array([photon_probability(out, n) for n in range(cutoff + 1)])
     w, a, rest = _pair_data(out)
-    # Poisson survival beyond the cutoff for each term's port intensity.
-    tails = gammainc(cutoff + 1, np.abs(a) ** 2)
+    probs = _photon_probabilities(w, a, rest, cutoff)
+    tails = np.array([_poisson_tail_bound(float(lam), cutoff) for lam in np.abs(a) ** 2])
     bound = np.abs(np.conj(w)[:, None] * w[None, :] * rest) * np.sqrt(tails[:, None] * tails[None, :])
     return PortDistribution(probs=probs, cutoff=cutoff, tail_bound=float(np.sum(bound)))
 
@@ -121,15 +145,7 @@ def parity_expectation(out: FourModeOutput) -> float:
 
 def z_expectation(out: FourModeOutput) -> float:
     """<Z> = P(0), the vacuum-projector expectation at port a."""
-    return photon_probability(out, 0)
-
-
-def binary_probabilities(out: FourModeOutput) -> tuple[float, float]:
-    """(P(+), P(-)) for even/odd photon counts at port a."""
-    parity = parity_expectation(out)
-    p_plus = 0.5 * (1.0 + parity)
-    p_minus = 0.5 * (1.0 - parity)
-    return min(max(p_plus, 0.0), 1.0), min(max(p_minus, 0.0), 1.0)
+    return float(_photon_probabilities(*_pair_data(out), 0)[0])
 
 
 def expectation_derivative(
@@ -138,47 +154,12 @@ def expectation_derivative(
     config: MziConfig,
     scheme: Scheme,
 ) -> float:
-    """Analytic d<X>/dphi for X = parity or the vacuum projector.
-
-    Every output amplitude depends smoothly on phi through the transfer
-    matrix, so each pair term differentiates to itself times the derivative of
-    its exponent; no finite differencing is involved.
-    """
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("derivative requires normalized input states")
-    weights = []
-    amps_in = []
-    for ta in state_a.terms:
-        for tb in state_b.terms:
-            weights.append(ta.weight * tb.weight)
-            amps_in.append((ta.amplitude, tb.amplitude))
-    w = np.array(weights, dtype=complex)
-    vin = np.array(amps_in, dtype=complex)
-    u = vin @ mode_transform(config).T
-    du = vin @ mode_transform_derivative(config).T
-
-    # cross coefficient per mode: +1 for traced modes, -1 (parity) / 0 (Z) at port a
-    cross = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
-    coeffs = np.array([cross, 1.0, 1.0, 1.0])
-
-    exponent = np.zeros((len(w), len(w)), dtype=complex)
-    dexp = np.zeros_like(exponent)
-    for m in range(4):
-        um, dum = u[:, m], du[:, m]
-        uu = np.abs(um) ** 2
-        duu = 2.0 * np.real(np.conj(um) * dum)
-        exponent += -0.5 * (uu[:, None] + uu[None, :]) + coeffs[m] * np.conj(um)[:, None] * um[None, :]
-        dexp += -0.5 * (duu[:, None] + duu[None, :]) + coeffs[m] * (
-            np.conj(dum)[:, None] * um[None, :] + np.conj(um)[:, None] * dum[None, :]
-        )
-    val = np.conj(w) @ (np.exp(exponent) * dexp) @ w
-    return _real_part(val, "expectation derivative")
+    """Analytic d<X>/dphi for X = parity or the vacuum projector at one phase."""
+    return float(expectation_derivative_curve(state_a, state_b, scheme, [config.phi], config.loss_r)[0])
 
 
 def expectation(state_a: SuperposedState, state_b: SuperposedState, config: MziConfig, scheme: Scheme) -> float:
     """<Pi> or <Z> for the given inputs and interferometer setting."""
-    from .interferometer import propagate
-
     out = propagate(state_a, state_b, config)
     if scheme is Scheme.PARITY:
         return parity_expectation(out)
@@ -193,13 +174,7 @@ def _phase_resolved_amplitudes(state_a, state_b, phis: np.ndarray, loss_r: float
     so sweeps avoid per-sample object construction.
     """
     t = math.sqrt(max(0.0, 1.0 - loss_r**2))
-    weights, amps_in = [], []
-    for ta in state_a.terms:
-        for tb in state_b.terms:
-            weights.append(ta.weight * tb.weight)
-            amps_in.append((ta.amplitude, tb.amplitude))
-    w = np.array(weights, dtype=complex)
-    vin = np.array(amps_in, dtype=complex)
+    w, vin = _input_pairs(state_a, state_b)
     aa, ab = vin[:, 0][:, None], vin[:, 1][:, None]
     half = np.exp(0.5j * phis)[None, :]
     full = np.exp(1j * phis)[None, :]
@@ -258,6 +233,17 @@ def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray
     return vals.real
 
 
+def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, chunk: int, want_derivative: bool) -> np.ndarray:
+    if not (state_a.normalized and state_b.normalized):
+        raise ValueError("curve evaluation requires normalized input states")
+    phis = np.asarray(phis, dtype=float)
+    out = np.empty(phis.shape)
+    for lo in range(0, len(phis), chunk):
+        w, u, du = _phase_resolved_amplitudes(state_a, state_b, phis[lo : lo + chunk], loss_r)
+        out[lo : lo + chunk] = _curve_values(w, u, du, scheme, want_derivative)
+    return out
+
+
 def expectation_curve(
     state_a: SuperposedState,
     state_b: SuperposedState,
@@ -267,14 +253,7 @@ def expectation_curve(
     chunk: int = 1024,
 ) -> np.ndarray:
     """Vectorized <Pi> or <Z> over a grid of phase values."""
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("curve evaluation requires normalized input states")
-    phis = np.asarray(phis, dtype=float)
-    out = np.empty(phis.shape)
-    for lo in range(0, len(phis), chunk):
-        w, u, du = _phase_resolved_amplitudes(state_a, state_b, phis[lo : lo + chunk], loss_r)
-        out[lo : lo + chunk] = _curve_values(w, u, du, scheme, want_derivative=False)
-    return out
+    return _sweep(state_a, state_b, scheme, phis, loss_r, chunk, want_derivative=False)
 
 
 def expectation_derivative_curve(
@@ -285,15 +264,13 @@ def expectation_derivative_curve(
     loss_r: float = 0.0,
     chunk: int = 1024,
 ) -> np.ndarray:
-    """Vectorized analytic d<X>/dphi over a grid of phase values."""
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("curve evaluation requires normalized input states")
-    phis = np.asarray(phis, dtype=float)
-    out = np.empty(phis.shape)
-    for lo in range(0, len(phis), chunk):
-        w, u, du = _phase_resolved_amplitudes(state_a, state_b, phis[lo : lo + chunk], loss_r)
-        out[lo : lo + chunk] = _curve_values(w, u, du, scheme, want_derivative=True)
-    return out
+    """Vectorized analytic d<X>/dphi over a grid of phase values.
+
+    Every output amplitude depends smoothly on phi through the transfer
+    matrix, so each pair term differentiates to itself times the derivative of
+    its exponent; no finite differencing is involved.
+    """
+    return _sweep(state_a, state_b, scheme, phis, loss_r, chunk, want_derivative=True)
 
 
 def reduced_port_a(out: FourModeOutput) -> CoherentDyadMixture:

@@ -2,9 +2,15 @@
 
 This module is the independent ground truth for the coherent pair-sum engine:
 it expands the inputs in the two-mode number basis, applies the beam
-splitters block-by-block in total photon number, models loss with single-mode
-Kraus operators, and reads out the port-a photon distribution.  It must not
-import the engine or the closed forms; only the state definitions are shared.
+splitters block-by-block in total photon number, and reads out the port-a
+photon distribution.  It must not import the engine or the closed forms; only
+the state definitions are shared.
+
+Both arms lose photons through the same (t, r), and uniform loss commutes
+with passive linear optics, so :func:`simulate` runs the lossless pipeline
+and applies loss as binomial thinning of the port-a count.
+:func:`simulate_density` keeps the per-arm single-mode Kraus channel on an
+explicit density matrix as an independent cross-check of that identity.
 
 Beam-splitter blocks are built from exact integer coefficients of
 (1-x)^n (1+x)^(N-n) (iterated multiply/divide, no matrix exponentiation), so
@@ -23,8 +29,6 @@ from .interferometer import MziConfig
 from .states import SuperposedState
 
 ENCODE_TAIL_LIMIT = 1e-10
-BRANCH_TAIL_TARGET = 1e-13
-_BRANCH_CHUNK = 128
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -144,28 +148,6 @@ def _bs_block(total: int) -> np.ndarray:
     return block
 
 
-def basis_index(n_a: int, n_b: int, cutoff: int) -> int:
-    """Position of |n_a, n_b> in the flattened triangular basis."""
-    if n_a < 0 or n_b < 0 or n_a + n_b > cutoff:
-        raise ValueError("occupation outside the truncated basis")
-    total = n_a + n_b
-    return total * (total + 1) // 2 + n_a
-
-
-def triangle_dimension(cutoff: int) -> int:
-    return (cutoff + 1) * (cutoff + 2) // 2
-
-
-def beam_splitter_unitary(cutoff: int) -> np.ndarray:
-    """Dense 50:50 splitter over the triangular basis, block-diagonal in N."""
-    dim = triangle_dimension(cutoff)
-    u = np.zeros((dim, dim), dtype=complex)
-    for total in range(cutoff + 1):
-        start = total * (total + 1) // 2
-        u[start : start + total + 1, start : start + total + 1] = _bs_block(total)
-    return u
-
-
 def _apply_beam_splitter(psi: np.ndarray, cutoff: int) -> np.ndarray:
     """Apply the splitter on the last two axes (n_a, n_b), block by block."""
     out = np.zeros_like(psi)
@@ -189,31 +171,6 @@ def _kraus_factor(k: int, loss_r: float, length: int) -> np.ndarray:
     logt = n * math.log(t) if t > 0 else np.where(n == 0, 0.0, -np.inf)
     logr = k * math.log(loss_r) if loss_r > 0 else (0.0 if k == 0 else -math.inf)
     return np.exp(logc + logt + logr)
-
-
-def _loss_branches(psi: np.ndarray, cutoff: int, loss_r: float) -> list[np.ndarray]:
-    """Kraus branches (K_k x K_l) psi over both arms, truncated by captured weight."""
-    if loss_r == 0.0:
-        return [psi]
-    start_norm = float(np.sum(np.abs(psi) ** 2))
-    branches: list[np.ndarray] = []
-    captured = 0.0
-    for shell in range(2 * cutoff + 1):
-        for k in range(min(shell, cutoff) + 1):
-            l = shell - k
-            if l > cutoff:
-                continue
-            na = cutoff + 1 - k
-            nb = cutoff + 1 - l
-            fa = _kraus_factor(k, loss_r, na)
-            fb = _kraus_factor(l, loss_r, nb)
-            br = np.zeros_like(psi)
-            br[:na, :nb] = psi[k:, l:] * fa[:, None] * fb[None, :]
-            branches.append(br)
-            captured += float(np.sum(np.abs(br) ** 2))
-        if start_norm - captured < BRANCH_TAIL_TARGET:
-            break
-    return branches
 
 
 def loss_channel(rho: FockDensity, arm: str, loss_r: float) -> FockDensity:
@@ -246,36 +203,52 @@ def _apply_bs_density(matrix: np.ndarray, cutoff: int) -> np.ndarray:
     return np.conj(_apply_beam_splitter(np.conj(matrix), cutoff))
 
 
+def _thin(probs: np.ndarray, loss_t: float, loss_r: float) -> np.ndarray:
+    """Photon count after pure loss: P'(n) = sum_m C(m, n) t^(2n) r^(2(m-n)) P(m).
+
+    At r = 0 the kernel is the identity, since 0.0 ** 0 == 1.
+    """
+    ns = np.arange(len(probs))
+    dropped = ns[None, :] - ns[:, None]  # m - n, row n, column m
+    kept = np.maximum(dropped, 0)
+    lg = _lgamma_table(len(probs) - 1)
+    binom = np.exp(lg[ns][None, :] - lg[ns][:, None] - lg[kept])
+    kernel = np.where(dropped >= 0, binom * (loss_t**2) ** ns[:, None] * (loss_r**2) ** kept, 0.0)
+    return kernel @ probs
+
+
+def _result(probs: np.ndarray, tail_bound: float) -> OracleResult:
+    signs = np.where(np.arange(len(probs)) % 2 == 0, 1.0, -1.0)
+    return OracleResult(
+        probs=probs,
+        parity=float(signs @ probs),
+        zero=float(probs[0]),
+        tail_bound=tail_bound,
+    )
+
+
 def simulate(
     state_a: SuperposedState,
     state_b: SuperposedState,
     config: MziConfig,
     cutoff: int | None = None,
 ) -> OracleResult:
-    """Full pipeline: splitter, phase, per-arm loss, splitter, trace out port b.
+    """Full pipeline: splitter, phase, splitter, port-a marginal, then loss.
 
-    Loss is applied through Kraus branches of the pure-loss channel, and the
-    port-a distribution is accumulated branch by branch, which is exactly the
-    partial trace over the environment and port b.
+    The loss splitters of the two arms share one (t, r).  Equal loss on both
+    modes commutes with the passive second splitter (Oszmaniec & Brod, New J.
+    Phys. 20, 092002, 2018), so it acts on port a after the splitter, where
+    tracing port b and the environment leaves binomial thinning of the
+    lossless photon count.  Unequal arm losses would not commute this way.
     """
     if cutoff is None:
         cutoff = default_cutoff(state_a, state_b)
     vec = encode(state_a, state_b, cutoff)
     psi = _apply_beam_splitter(vec.amplitudes, cutoff)
     psi = _apply_phase(psi, cutoff, config.phi)
-    branches = _loss_branches(psi, cutoff, config.loss_r)
-    probs = np.zeros(cutoff + 1)
-    for lo in range(0, len(branches), _BRANCH_CHUNK):
-        stacked = np.stack(branches[lo : lo + _BRANCH_CHUNK])
-        mixed = _apply_beam_splitter(stacked, cutoff)
-        probs += np.sum(np.abs(mixed) ** 2, axis=(0, 2))
-    signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
-    return OracleResult(
-        probs=probs,
-        parity=float(signs @ probs),
-        zero=float(probs[0]),
-        tail_bound=vec.tail_bound,
-    )
+    psi = _apply_beam_splitter(psi, cutoff)
+    probs = _thin(np.sum(np.abs(psi) ** 2, axis=1), config.loss_t, config.loss_r)
+    return _result(probs, vec.tail_bound)
 
 
 def simulate_density(
@@ -284,7 +257,7 @@ def simulate_density(
     config: MziConfig,
     cutoff: int | None = None,
 ) -> OracleResult:
-    """Same pipeline through an explicit density matrix; cross-check path only."""
+    """Per-arm Kraus loss on an explicit density matrix; cross-check path only."""
     if cutoff is None:
         cutoff = default_cutoff(state_a, state_b)
     vec = encode(state_a, state_b, cutoff)
@@ -294,11 +267,4 @@ def simulate_density(
     rho = loss_channel(rho, "a", config.loss_r)
     rho = loss_channel(rho, "b", config.loss_r)
     final = _apply_bs_density(rho.matrix, cutoff)
-    probs = np.einsum("abab->a", final).real
-    signs = np.where(np.arange(cutoff + 1) % 2 == 0, 1.0, -1.0)
-    return OracleResult(
-        probs=probs,
-        parity=float(signs @ probs),
-        zero=float(probs[0]),
-        tail_bound=vec.tail_bound,
-    )
+    return _result(np.einsum("abab->a", final).real, vec.tail_bound)

@@ -82,46 +82,18 @@ def mode_transform(config: MziConfig) -> np.ndarray:
     )
 
 
-def mode_transform_derivative(config: MziConfig) -> np.ndarray:
-    """Derivative of :func:`mode_transform` with respect to the phase phi."""
-    phi = config.phi
-    t, r = config.loss_t, config.loss_r
-    full = cmath.exp(1j * phi)
-    dtheta = 0.5j * t * full
-    dsigma = -0.5 * t * full
-    rbar = 1j * r / math.sqrt(2.0)
-    return np.array(
-        [
-            [dtheta, dsigma],
-            [dsigma, -dtheta],
-            [1j * rbar * full, -rbar * full],
-            [0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-@dataclass(frozen=True)
-class FourModeTerm:
-    """One weighted four-mode coherent product in the output superposition."""
-
-    weight: complex
-    amps: tuple[complex, complex, complex, complex]
-
-
 @dataclass(frozen=True)
 class FourModeOutput:
-    """Output superposition over (port a, port b, env a, env b)."""
+    """Output superposition over (port a, port b, env a, env b).
 
-    terms: tuple[FourModeTerm, ...]
+    ``weights`` has shape (K,) and ``amplitudes`` shape (K, 4): term k is the
+    coherent product with mode amplitudes ``amplitudes[k]`` and weight
+    ``weights[k]``.
+    """
+
+    weights: np.ndarray
+    amplitudes: np.ndarray
     config: MziConfig
-
-    def weights(self) -> np.ndarray:
-        return np.array([t.weight for t in self.terms], dtype=complex)
-
-    def amplitude_matrix(self) -> np.ndarray:
-        """(n_terms, 4) complex array of mode amplitudes."""
-        return np.array([t.amps for t in self.terms], dtype=complex)
 
 
 def _input_pairs(state_a: SuperposedState, state_b: SuperposedState):
@@ -143,37 +115,4 @@ def propagate(state_a: SuperposedState, state_b: SuperposedState, config: MziCon
     transfer matrix applied to the input amplitude pair, weights multiply.
     """
     weights, amps_in = _input_pairs(state_a, state_b)
-    out_amps = amps_in @ mode_transform(config).T
-    terms = tuple(
-        FourModeTerm(w, (a[0], a[1], a[2], a[3])) for w, a in zip(weights, out_amps)
-    )
-    return FourModeOutput(terms, config)
-
-
-def output_gram_sum(out: FourModeOutput) -> float:
-    """Squared norm of the output superposition (1 for normalized inputs)."""
-    w = out.weights()
-    amps = out.amplitude_matrix()
-    total = np.ones((len(w), len(w)), dtype=complex)
-    for m in range(4):
-        u = amps[:, m]
-        uu = np.abs(u) ** 2
-        total *= np.exp(-0.5 * (uu[:, None] + uu[None, :]) + np.conj(u)[:, None] * u[None, :])
-    val = np.conj(w) @ total @ w
-    return float(val.real)
-
-
-def mode_mean_photon(out: FourModeOutput, mode: int) -> float:
-    """Mean photon number in one of the four output modes."""
-    w = out.weights()
-    amps = out.amplitude_matrix()
-    total = np.ones((len(w), len(w)), dtype=complex)
-    for m in range(4):
-        u = amps[:, m]
-        uu = np.abs(u) ** 2
-        total *= np.exp(-0.5 * (uu[:, None] + uu[None, :]) + np.conj(u)[:, None] * u[None, :])
-    u = amps[:, mode]
-    val = np.conj(w) @ (np.conj(u)[:, None] * u[None, :] * total) @ w
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ArithmeticError(f"mode occupation not real: {val!r}")
-    return float(val.real)
+    return FourModeOutput(weights, amps_in @ mode_transform(config).T, config)

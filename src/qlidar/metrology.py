@@ -117,21 +117,8 @@ def phase_sensitivity(
     config: MziConfig,
     scheme: Scheme,
 ) -> SensitivityPoint:
-    """Delta-phi from the binary observable's variance and analytic slope.
-
-    A vanishing slope is a legitimate operating point (stationary phase), so
-    it yields an infinite sensitivity marker rather than an exception.
-    """
-    floor = snl(state_a, state_b)
-    value = detection.expectation(state_a, state_b, config, scheme)
-    slope = detection.expectation_derivative(state_a, state_b, config, scheme)
-    if scheme is Scheme.PARITY:
-        variance = max(0.0, 1.0 - value * value)
-    else:
-        variance = max(0.0, value - value * value)
-    if abs(slope) < DERIVATIVE_FLOOR:
-        return SensitivityPoint(phi=config.phi, delta_phi=math.inf, snl=floor)
-    return SensitivityPoint(phi=config.phi, delta_phi=math.sqrt(variance) / abs(slope), snl=floor)
+    """Delta-phi from the binary observable's variance and analytic slope at one phase."""
+    return sensitivity_curve(state_a, state_b, scheme, [config.phi], config.loss_r)[0]
 
 
 def sensitivity_curve(
@@ -141,7 +128,11 @@ def sensitivity_curve(
     phis,
     loss_r: float = 0.0,
 ) -> list[SensitivityPoint]:
-    """Vectorized sensitivity sweep over a phase grid."""
+    """Delta-phi from the binary observable's variance and analytic slope over a phase grid.
+
+    A vanishing slope is a legitimate operating point (stationary phase), so
+    it yields an infinite sensitivity marker rather than an exception.
+    """
     floor = snl(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
     values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r)
@@ -177,16 +168,14 @@ def _golden_extremum(f: Callable[[float], float], lo: float, hi: float, tol: flo
     return 0.5 * (a + b)
 
 
-def _bisect_crossing(f: Callable[[float], float], lo: float, hi: float, tol: float = REFINE_TOL) -> float:
-    """Bisection root of f on a sign-changing bracket [lo, hi]."""
-    flo = f(lo)
-    fhi = f(hi)
+def _bisect_crossing(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float = REFINE_TOL
+) -> float:
+    """Bisection root of f on [lo, hi], whose end values flo = f(lo), fhi = f(hi) differ in sign."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError("bracket does not change sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -254,18 +243,30 @@ def fwhm(curve: SignalCurve, baseline: float | None = None) -> float:
     half = 0.5 * (peak_val + baseline)
     level = lambda x: sign * (f(x) - half)
 
-    left = None
-    for i in range(best_idx, 0, -1):
-        if sign * (values[i - 1] - half) < 0.0 <= sign * (values[i] - half):
-            left = _bisect_crossing(level, phis[i - 1], phis[i])
-            break
-    right = None
-    for i in range(best_idx, len(values) - 1):
-        if sign * (values[i + 1] - half) < 0.0 <= sign * (values[i] - half):
-            right = _bisect_crossing(level, phis[i], phis[i + 1])
-            break
-    if left is None or right is None:
-        raise NoPeak("half level is never crossed on both sides of the peak")
+    def crossing(step: int) -> float:
+        # Start from the first sample pair around the half level on this side
+        # of the peak.  Near a flat crossing the evaluator can put a sample on
+        # the other side in the last bit; then widen one sample at a time past
+        # whichever end it puts on the wrong side until the bracket changes sign.
+        inside = best_idx
+        while 0 <= inside + step < len(values) and sign * (values[inside + step] - half) >= 0.0:
+            inside += step
+        outside = inside + step
+        while True:
+            if not (0 <= inside < len(values) and 0 <= outside < len(values)):
+                raise NoPeak("half level is never crossed on both sides of the peak")
+            g_in, g_out = level(phis[inside]), level(phis[outside])
+            if g_in == 0.0 or g_out == 0.0 or (g_in < 0.0) != (g_out < 0.0):
+                break
+            if g_in < 0.0:
+                inside -= step
+            else:
+                outside += step
+        if step > 0:
+            return _bisect_crossing(level, phis[inside], phis[outside], g_in, g_out)
+        return _bisect_crossing(level, phis[outside], phis[inside], g_out, g_in)
+
+    left, right = crossing(-1), crossing(1)
     return float(right - left)
 
 

@@ -1,0 +1,67 @@
+"""Reference quantities that only the tests need.
+
+Bookkeeping sums over the four-mode output, the even/odd split of the parity
+signal, and the dense triangular-basis form of the Fock splitter.
+"""
+
+import numpy as np
+
+from qlidar import detection
+from qlidar import fock_oracle as fo
+from qlidar.interferometer import FourModeOutput
+
+
+def _output_gram(out: FourModeOutput) -> np.ndarray:
+    """Pair matrix prod_m <u_i[m]|u_j[m]> over all four output modes."""
+    total = np.ones((len(out.weights), len(out.weights)), dtype=complex)
+    for m in range(4):
+        u = out.amplitudes[:, m]
+        uu = np.abs(u) ** 2
+        total *= np.exp(-0.5 * (uu[:, None] + uu[None, :]) + np.conj(u)[:, None] * u[None, :])
+    return total
+
+
+def output_gram_sum(out: FourModeOutput) -> float:
+    """Squared norm of the output superposition (1 for normalized inputs)."""
+    w = out.weights
+    return float((np.conj(w) @ _output_gram(out) @ w).real)
+
+
+def mode_mean_photon(out: FourModeOutput, mode: int) -> float:
+    """Mean photon number in one of the four output modes."""
+    w = out.weights
+    u = out.amplitudes[:, mode]
+    val = np.conj(w) @ (np.conj(u)[:, None] * u[None, :] * _output_gram(out)) @ w
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+        raise ArithmeticError(f"mode occupation not real: {val!r}")
+    return float(val.real)
+
+
+def binary_probabilities(out: FourModeOutput) -> tuple[float, float]:
+    """(P(+), P(-)) for even/odd photon counts at port a."""
+    parity = detection.parity_expectation(out)
+    p_plus = 0.5 * (1.0 + parity)
+    p_minus = 0.5 * (1.0 - parity)
+    return min(max(p_plus, 0.0), 1.0), min(max(p_minus, 0.0), 1.0)
+
+
+def basis_index(n_a: int, n_b: int, cutoff: int) -> int:
+    """Position of |n_a, n_b> in the flattened triangular basis."""
+    if n_a < 0 or n_b < 0 or n_a + n_b > cutoff:
+        raise ValueError("occupation outside the truncated basis")
+    total = n_a + n_b
+    return total * (total + 1) // 2 + n_a
+
+
+def triangle_dimension(cutoff: int) -> int:
+    return (cutoff + 1) * (cutoff + 2) // 2
+
+
+def beam_splitter_unitary(cutoff: int) -> np.ndarray:
+    """Dense 50:50 splitter over the triangular basis, block-diagonal in N."""
+    dim = triangle_dimension(cutoff)
+    u = np.zeros((dim, dim), dtype=complex)
+    for total in range(cutoff + 1):
+        start = total * (total + 1) // 2
+        u[start : start + total + 1, start : start + total + 1] = fo._bs_block(total)
+    return u

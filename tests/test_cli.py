@@ -143,6 +143,14 @@ class TestFwhm:
         widths = [float(v) for v in rows[0][1:]]
         assert (max(widths) - min(widths)) / min(widths) < 0.05
 
+    def test_parity_defaults(self, tmp_path):
+        # mps3 at |alpha|^2 = 5.857 meets its half level at a flat inflection,
+        # where samples and evaluator may disagree in sign in the last bit
+        out = tmp_path / "fwhm_parity.csv"
+        assert run_cli(["fwhm", "--scheme", "parity", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 8
+        assert float(rows[5][header.index("fwhm_mps3")]) == pytest.approx(math.pi, abs=1e-4)
 
     def test_zeta2_sweep(self, tmp_path):
         out = tmp_path / "fwhm_z2.csv"

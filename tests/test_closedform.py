@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import binary_probabilities
 from qlidar import closedform as cf
 from qlidar import detection, wigner
 from qlidar.detection import Scheme
@@ -46,7 +47,7 @@ def test_vacuum_input_forms(kind):
                 assert cf.z_derivative_vacuum(ctx) == pytest.approx(
                     detection.expectation_derivative(sa, vacuum(), cfg, Scheme.Z), abs=TOL
                 )
-                p_plus, p_minus = detection.binary_probabilities(out)
+                p_plus, p_minus = binary_probabilities(out)
                 c_plus, c_minus = cf.binary_vacuum(ctx)
                 assert c_plus == pytest.approx(p_plus, abs=TOL)
                 assert c_minus == pytest.approx(p_minus, abs=TOL)
@@ -77,7 +78,7 @@ def test_coherent_input_forms(kind, zeta2):
                 assert cf.z_derivative_coherent(ctx) == pytest.approx(
                     detection.expectation_derivative(sa, sb, cfg, Scheme.Z), abs=TOL
                 )
-                p_plus, p_minus = detection.binary_probabilities(out)
+                p_plus, p_minus = binary_probabilities(out)
                 c_plus, c_minus = cf.binary_coherent(ctx)
                 assert c_plus == pytest.approx(p_plus, abs=TOL)
                 assert c_minus == pytest.approx(p_minus, abs=TOL)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import binary_probabilities
 from qlidar import detection, fock_oracle
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
@@ -102,7 +103,7 @@ class TestZ:
 class TestBinaryProbabilities:
     def test_zero_phase(self):
         out = propagate(make_state(StateKind.ECSS, 1.2), vacuum(), MziConfig.lossless(0.0))
-        p_plus, p_minus = detection.binary_probabilities(out)
+        p_plus, p_minus = binary_probabilities(out)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
 
@@ -110,7 +111,7 @@ class TestBinaryProbabilities:
         alpha2, phi = 2.0, 1.1
         out = propagate(cs(alpha2), vacuum(), MziConfig.lossless(phi))
         p = alpha2 * math.sin(phi / 2) ** 2
-        p_plus, p_minus = detection.binary_probabilities(out)
+        p_plus, p_minus = binary_probabilities(out)
         assert p_plus == pytest.approx(0.5 * (1 + math.exp(-2 * p)), abs=1e-12)
         assert p_minus == pytest.approx(0.5 * (1 - math.exp(-2 * p)), abs=1e-12)
 
@@ -120,13 +121,13 @@ class TestBinaryProbabilities:
         res = fock_oracle.simulate(sa, vacuum(), cfg)
         evens = float(np.sum(res.probs[0::2]))
         odds = float(np.sum(res.probs[1::2]))
-        p_plus, p_minus = detection.binary_probabilities(propagate(sa, vacuum(), cfg))
+        p_plus, p_minus = binary_probabilities(propagate(sa, vacuum(), cfg))
         assert p_plus == pytest.approx(evens, abs=1e-8)
         assert p_minus == pytest.approx(odds, abs=1e-8)
 
     def test_consistency_with_parity(self):
         out = propagate(make_state(StateKind.MPS3, 1.0), cs(1.0), MziConfig(phi=0.4, loss_r=0.5))
-        p_plus, p_minus = detection.binary_probabilities(out)
+        p_plus, p_minus = binary_probabilities(out)
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-10)
         assert p_plus - p_minus == pytest.approx(detection.parity_expectation(out), abs=1e-10)
 

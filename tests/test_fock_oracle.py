@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import basis_index, beam_splitter_unitary, triangle_dimension
 from qlidar import fock_oracle as fo
 from qlidar.interferometer import MziConfig, mode_transform
 from qlidar.states import StateKind, make_state, vacuum
@@ -42,25 +43,25 @@ class TestBeamSplitter:
         assert np.abs(block.conj().T @ block - np.eye(total + 1)).max() < 1e-12
 
     def test_single_photon_split(self):
-        u = fo.beam_splitter_unitary(2)
-        col = u[:, fo.basis_index(1, 0, 2)]
-        amp10 = col[fo.basis_index(1, 0, 2)]
-        amp01 = col[fo.basis_index(0, 1, 2)]
+        u = beam_splitter_unitary(2)
+        col = u[:, basis_index(1, 0, 2)]
+        amp10 = col[basis_index(1, 0, 2)]
+        amp01 = col[basis_index(0, 1, 2)]
         assert abs(amp10) ** 2 == pytest.approx(0.5, abs=1e-14)
         assert abs(amp01) ** 2 == pytest.approx(0.5, abs=1e-14)
         assert amp01 / amp10 == pytest.approx(1j)
 
     def test_block_diagonal_in_total_number(self):
         cutoff = 5
-        u = fo.beam_splitter_unitary(cutoff)
-        dim = fo.triangle_dimension(cutoff)
+        u = beam_splitter_unitary(cutoff)
+        dim = triangle_dimension(cutoff)
         for na in range(cutoff + 1):
             for nb in range(cutoff + 1 - na):
-                col = u[:, fo.basis_index(na, nb, cutoff)]
+                col = u[:, basis_index(na, nb, cutoff)]
                 for ma in range(cutoff + 1):
                     for mb in range(cutoff + 1 - ma):
                         if ma + mb != na + nb:
-                            assert abs(col[fo.basis_index(ma, mb, cutoff)]) < 1e-15
+                            assert abs(col[basis_index(ma, mb, cutoff)]) < 1e-15
 
     def test_matches_amplitude_map_on_coherent_input(self):
         # convention lock against the interferometer transfer matrix

@@ -4,16 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import mode_mean_photon, output_gram_sum
 from qlidar import states
-from qlidar.interferometer import (
-    FourModeOutput,
-    MziConfig,
-    mode_mean_photon,
-    mode_transform,
-    mode_transform_derivative,
-    output_gram_sum,
-    propagate,
-)
+from qlidar.interferometer import MziConfig, mode_transform, propagate
 from qlidar.states import StateKind, make_state, vacuum
 
 CONFIG_GRID = [
@@ -73,32 +66,24 @@ class TestModeTransform:
         assert m[2, 0] == pytest.approx(rbar * cmath.exp(1.9j), abs=1e-14)
         assert m[3, 0] == pytest.approx(1j * rbar, abs=1e-14)
 
-    @pytest.mark.parametrize("cfg", CONFIG_GRID[1:])
-    def test_derivative_matches_finite_difference(self, cfg):
-        step = 1e-6
-        up = mode_transform(MziConfig(phi=cfg.phi + step, loss_r=cfg.loss_r))
-        down = mode_transform(MziConfig(phi=cfg.phi - step, loss_r=cfg.loss_r))
-        fd = (up - down) / (2 * step)
-        assert np.allclose(mode_transform_derivative(cfg), fd, atol=1e-9)
-
 
 class TestPropagate:
     def test_cs_vacuum_term(self):
         alpha = 1.2
         cfg = MziConfig(phi=0.9, loss_r=0.3)
         out = propagate(make_state(StateKind.CS, alpha), vacuum(), cfg)
-        assert len(out.terms) == 1
+        assert len(out.weights) == 1
         t, r, phi = cfg.loss_t, cfg.loss_r, cfg.phi
         theta = 1j * t * cmath.exp(0.5j * phi) * math.sin(phi / 2)
         sigma = 1j * t * cmath.exp(0.5j * phi) * math.cos(phi / 2)
         rbar = 1j * r / math.sqrt(2)
         expected = (alpha * theta, alpha * sigma, rbar * alpha * cmath.exp(1j * phi), 1j * rbar * alpha)
-        assert np.allclose(out.terms[0].amps, expected, atol=1e-14)
+        assert np.allclose(out.amplitudes[0], expected, atol=1e-14)
 
     def test_mps0_vacuum_scaling(self):
         cfg = MziConfig.lossless(1.3)
         out = propagate(make_state(StateKind.MPS0, 1.0), vacuum(), cfg)
-        amps = out.amplitude_matrix()
+        amps = out.amplitudes
         for m in range(4):
             assert np.allclose(amps[m], amps[0] * 1j**m, atol=1e-14)
 
@@ -109,14 +94,14 @@ class TestPropagate:
         out_vac = propagate(make_state(StateKind.MPS1, alpha), vacuum(), cfg)
         sigma = 1j * cmath.exp(0.5j * cfg.phi) * math.cos(cfg.phi / 2)
         shift = zeta * sigma
-        assert out_pair.terms[0].amps[0] == pytest.approx(out_vac.terms[0].amps[0] + shift, abs=1e-14)
+        assert out_pair.amplitudes[0, 0] == pytest.approx(out_vac.amplitudes[0, 0] + shift, abs=1e-14)
 
     def test_term_count_and_weights(self):
         sa = make_state(StateKind.MPS2, 0.9)
         sb = make_state(StateKind.ECSS, 0.5)
         out = propagate(sa, sb, MziConfig.lossless(0.4))
-        assert len(out.terms) == 8
-        assert out.terms[0].weight == pytest.approx(sa.terms[0].weight * sb.terms[0].weight)
+        assert len(out.weights) == 8
+        assert out.weights[0] == pytest.approx(sa.terms[0].weight * sb.terms[0].weight)
 
     def test_requires_normalized(self):
         raw = states.SuperposedState((states.CoherentTerm(1.0, 1.0),), normalized=False)
