@@ -20,7 +20,7 @@ import numpy as np
 
 from . import detection, fock_oracle, metrology, wigner
 from .detection import Scheme
-from .interferometer import MziConfig, propagate
+from .interferometer import MziConfig, _check_phase, propagate
 from .states import StateKind, SuperposedState, make_state, vacuum
 
 EXIT_OK = 0
@@ -87,6 +87,7 @@ def _parse_state(kind_name: str, amplitude: complex | None = None, energy: float
 def _phi_grid(spec) -> np.ndarray:
     if spec.phi_steps < 2:
         raise InvalidSpec("phi-steps must be at least 2")
+    _check_phase(np.array([spec.phi_min, spec.phi_max]))
     if not spec.phi_max > spec.phi_min:
         raise InvalidSpec("phi-max must exceed phi-min")
     return np.linspace(spec.phi_min, spec.phi_max, spec.phi_steps)
@@ -164,8 +165,8 @@ def cmd_wigner(spec) -> int:
     if spec.resolution < 2:
         raise InvalidSpec("resolution must be at least 2")
     half = spec.window if spec.window is not None else wigner.default_window(state)
-    if half <= 0:
-        raise InvalidSpec("window must be positive")
+    if not 0 < half < math.inf:
+        raise InvalidSpec("window must be positive and finite")
     grid = wigner.wigner_grid(state, (-half, half), (-half, half), spec.resolution)
     rows = []
     for i, y1 in enumerate(grid.y1_axis):

@@ -16,14 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .interferometer import FourModeOutput, MziConfig, _input_pairs, propagate
-from .states import CoherentDyad, CoherentDyadMixture, SuperposedState
+from .interferometer import FourModeOutput, MziConfig, _check_phase, _input_pairs, _output, mode_transform
+from .states import CoherentOperator, SuperposedState, _overlap_exponent
 
 IMAG_RESIDUE_TOL = 1e-12
 NEGATIVE_PROBABILITY_TOL = -1e-10
+CURVE_CHUNK = 1024  # phases per (K, K, P) pair block of a curve sweep
 
 
 class NegativeProbability(ArithmeticError):
@@ -64,9 +66,7 @@ def _pair_data(out: FourModeOutput):
     w, amps = out.weights, out.amplitudes
     rest = np.ones((len(w), len(w)), dtype=complex)
     for m in (1, 2, 3):
-        u = amps[:, m]
-        uu = np.abs(u) ** 2
-        rest *= np.exp(-0.5 * (uu[:, None] + uu[None, :]) + np.conj(u)[:, None] * u[None, :])
+        rest *= np.exp(_overlap_exponent(amps[:, m]))
     return w, amps[:, 0], rest
 
 
@@ -137,9 +137,7 @@ def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDis
 def parity_expectation(out: FourModeOutput) -> float:
     """<Pi> at port a, the (-1)^n-weighted photon sum in closed form."""
     w, a, rest = _pair_data(out)
-    aa = np.abs(a) ** 2
-    port = np.exp(-0.5 * (aa[:, None] + aa[None, :]) - np.conj(a)[:, None] * a[None, :])
-    val = _real_part(np.conj(w) @ (port * rest) @ w, "parity")
+    val = _real_part(np.conj(w) @ (np.exp(_overlap_exponent(a, -1.0)) * rest) @ w, "parity")
     return min(max(val, -1.0), 1.0)
 
 
@@ -160,51 +158,31 @@ def expectation_derivative(
 
 def expectation(state_a: SuperposedState, state_b: SuperposedState, config: MziConfig, scheme: Scheme) -> float:
     """<Pi> or <Z> for the given inputs and interferometer setting."""
-    out = propagate(state_a, state_b, config)
-    if scheme is Scheme.PARITY:
-        return parity_expectation(out)
-    return z_expectation(out)
+    return expectation_evaluator(state_a, state_b, scheme, config.loss_r)(config.phi)
 
 
-def _phase_resolved_amplitudes(state_a, state_b, phis: np.ndarray, loss_r: float):
-    """Output amplitudes and their phase derivatives over a whole phi grid.
+def expectation_evaluator(
+    state_a: SuperposedState, state_b: SuperposedState, scheme: Scheme, loss_r: float = 0.0
+) -> Callable[[float], float]:
+    """<Pi> or <Z> as a function of one phase, with the input pairs built once."""
+    weights, amps_in = _input_pairs(state_a, state_b)
 
-    Returns (w, u, du) with w of shape (K,) and u, du of shape (K, 4, P) for
-    K input term pairs and P phase samples.  Mirrors the transfer matrix rows
-    so sweeps avoid per-sample object construction.
+    def evaluate(phi: float) -> float:
+        out = _output(weights, amps_in, MziConfig(phi=phi, loss_r=loss_r))
+        return parity_expectation(out) if scheme is Scheme.PARITY else z_expectation(out)
+
+    return evaluate
+
+
+def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float):
+    """Output amplitudes u and their phase derivatives du of K input pairs over P phases.
+
+    Both have shape (K, 4, P): the transfer matrix and its derivative applied
+    to the (K, 2) input amplitudes at every phase.
     """
-    t = math.sqrt(max(0.0, 1.0 - loss_r**2))
-    w, vin = _input_pairs(state_a, state_b)
-    aa, ab = vin[:, 0][:, None], vin[:, 1][:, None]
-    half = np.exp(0.5j * phis)[None, :]
-    full = np.exp(1j * phis)[None, :]
-    sin_h = np.sin(0.5 * phis)[None, :]
-    cos_h = np.cos(0.5 * phis)[None, :]
-    theta = 1j * t * half * sin_h
-    sigma = 1j * t * half * cos_h
-    rbar = 1j * loss_r / math.sqrt(2.0)
-    ones = np.ones_like(full)
-    u = np.stack(
-        [
-            aa * theta + ab * sigma,
-            aa * sigma - ab * theta,
-            (aa + 1j * ab) * rbar * full,
-            (1j * aa + ab) * rbar * ones,
-        ],
-        axis=1,
-    )
-    dtheta = 0.5j * t * full
-    dsigma = -0.5 * t * full
-    du = np.stack(
-        [
-            aa * dtheta + ab * dsigma,
-            aa * dsigma - ab * dtheta,
-            (aa + 1j * ab) * 1j * rbar * full,
-            np.zeros((len(w), len(phis)), dtype=complex),
-        ],
-        axis=1,
-    )
-    return w, u, du
+    matrix, derivative = mode_transform(phis, loss_r)
+    aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
+    return aa * matrix[:, 0] + ab * matrix[:, 1], aa * derivative[:, 0] + ab * derivative[:, 1]
 
 
 def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray:
@@ -215,8 +193,7 @@ def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray
     dexp = np.zeros_like(exponent) if want_derivative else None
     for m in range(4):
         um, dum = u[:, m, :], du[:, m, :]
-        uu = np.abs(um) ** 2
-        exponent += -0.5 * (uu[:, None, :] + uu[None, :, :]) + coeffs[m] * np.conj(um)[:, None, :] * um[None, :, :]
+        exponent += _overlap_exponent(um, coeffs[m])
         if want_derivative:
             duu = 2.0 * np.real(np.conj(um) * dum)
             dexp += -0.5 * (duu[:, None, :] + duu[None, :, :]) + coeffs[m] * (
@@ -233,14 +210,13 @@ def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray
     return vals.real
 
 
-def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, chunk: int, want_derivative: bool) -> np.ndarray:
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("curve evaluation requires normalized input states")
-    phis = np.asarray(phis, dtype=float)
+def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool) -> np.ndarray:
+    w, amps_in = _input_pairs(state_a, state_b)
+    phis = _check_phase(np.asarray(phis, dtype=float))
     out = np.empty(phis.shape)
-    for lo in range(0, len(phis), chunk):
-        w, u, du = _phase_resolved_amplitudes(state_a, state_b, phis[lo : lo + chunk], loss_r)
-        out[lo : lo + chunk] = _curve_values(w, u, du, scheme, want_derivative)
+    for lo in range(0, len(phis), CURVE_CHUNK):
+        u, du = _phase_resolved_amplitudes(amps_in, phis[lo : lo + CURVE_CHUNK], loss_r)
+        out[lo : lo + CURVE_CHUNK] = _curve_values(w, u, du, scheme, want_derivative)
     return out
 
 
@@ -250,10 +226,9 @@ def expectation_curve(
     scheme: Scheme,
     phis,
     loss_r: float = 0.0,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Vectorized <Pi> or <Z> over a grid of phase values."""
-    return _sweep(state_a, state_b, scheme, phis, loss_r, chunk, want_derivative=False)
+    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)
 
 
 def expectation_derivative_curve(
@@ -262,7 +237,6 @@ def expectation_derivative_curve(
     scheme: Scheme,
     phis,
     loss_r: float = 0.0,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Vectorized analytic d<X>/dphi over a grid of phase values.
 
@@ -270,16 +244,10 @@ def expectation_derivative_curve(
     matrix, so each pair term differentiates to itself times the derivative of
     its exponent; no finite differencing is involved.
     """
-    return _sweep(state_a, state_b, scheme, phis, loss_r, chunk, want_derivative=True)
+    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
 
 
-def reduced_port_a(out: FourModeOutput) -> CoherentDyadMixture:
-    """Reduced density operator of port a as a coherent dyad mixture."""
+def reduced_port_a(out: FourModeOutput) -> CoherentOperator:
+    """Reduced density operator of port a: coefficients conj(w_i) w_j times the traced-mode overlaps."""
     w, a, rest = _pair_data(out)
-    dyads = []
-    n = len(w)
-    for i in range(n):
-        for j in range(n):
-            coeff = w[j] * np.conj(w[i]) * rest[i, j]
-            dyads.append(CoherentDyad(complex(coeff), complex(a[j]), complex(a[i])))
-    return CoherentDyadMixture(tuple(dyads))
+    return CoherentOperator(np.conj(w)[:, None] * w[None, :] * rest, a)

@@ -88,8 +88,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 
 def default_cutoff(state_a: SuperposedState, state_b: SuperposedState) -> int:
     """Total-photon truncation leaving a negligible tail for the input product."""
-    na = float(np.max(np.abs(state_a.amplitudes()) ** 2))
-    nb = float(np.max(np.abs(state_b.amplitudes()) ** 2))
+    na = float(np.max(np.abs(state_a.amplitudes) ** 2))
+    nb = float(np.max(np.abs(state_b.amplitudes) ** 2))
     total = na + nb
     return int(math.ceil(total + 10.0 * math.sqrt(total) + 10.0))
 
@@ -99,11 +99,10 @@ def encode(state_a: SuperposedState, state_b: SuperposedState, cutoff: int) -> F
     if not (state_a.normalized and state_b.normalized):
         raise ValueError("encode requires normalized input states")
     psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for ta in state_a.terms:
-        ca = coherent_amplitudes(ta.amplitude, cutoff)
-        for tb in state_b.terms:
-            cb = coherent_amplitudes(tb.amplitude, cutoff)
-            psi += (ta.weight * tb.weight) * np.outer(ca, cb)
+    for wa, a in zip(state_a.weights.tolist(), state_a.amplitudes.tolist()):
+        ca = coherent_amplitudes(a, cutoff)
+        for wb, b in zip(state_b.weights.tolist(), state_b.amplitudes.tolist()):
+            psi += (wa * wb) * np.outer(ca, coherent_amplitudes(b, cutoff))
     ns = np.arange(cutoff + 1)
     psi[ns[:, None] + ns[None, :] > cutoff] = 0.0
     tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))

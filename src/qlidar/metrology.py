@@ -11,8 +11,8 @@ sampling step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SignalCurve:
     phis: np.ndarray
     values: np.ndarray
     scheme: Scheme
-    provenance: Mapping = field(default_factory=dict)
     evaluator: Callable[[float], float] | None = None
 
     def __post_init__(self):
@@ -82,12 +81,8 @@ def sample_curve(
         phis = periodic_phase_grid()
     phis = np.asarray(phis, dtype=float)
     values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r)
-
-    def evaluator(phi: float) -> float:
-        return detection.expectation(state_a, state_b, MziConfig(phi=phi, loss_r=loss_r), scheme)
-
-    provenance = {"scheme": scheme.value, "loss_r": loss_r}
-    return SignalCurve(phis=phis, values=values, scheme=scheme, provenance=provenance, evaluator=evaluator)
+    evaluator = detection.expectation_evaluator(state_a, state_b, scheme, loss_r)
+    return SignalCurve(phis=phis, values=values, scheme=scheme, evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -188,13 +183,11 @@ def _bisect_crossing(
     return 0.5 * (lo + hi)
 
 
-def _interior_extrema(values: np.ndarray) -> tuple[list[int], list[int]]:
-    maxima, minima = [], []
-    for i in range(1, len(values) - 1):
-        if values[i] > values[i - 1] and values[i] > values[i + 1]:
-            maxima.append(i)
-        elif values[i] < values[i - 1] and values[i] < values[i + 1]:
-            minima.append(i)
+def _interior_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strict interior local maxima and minima of a sampled curve."""
+    inner, left, right = values[1:-1], values[:-2], values[2:]
+    maxima = np.flatnonzero((inner > left) & (inner > right)) + 1
+    minima = np.flatnonzero((inner < left) & (inner < right)) + 1
     return maxima, minima
 
 
@@ -210,7 +203,7 @@ def fwhm(curve: SignalCurve, baseline: float | None = None) -> float:
     """
     phis, values = curve.phis, curve.values
     maxima, minima = _interior_extrema(values)
-    if not maxima and not minima:
+    if not len(maxima) and not len(minima):
         raise NoPeak("curve is monotone over its domain")
     vmin, vmax = float(np.min(values)), float(np.max(values))
     base_up = vmin if baseline is None else float(baseline)
@@ -314,19 +307,10 @@ def peak_locations(
     else:
         signal = np.abs(values - mid)
 
-    def neighbor(i: int, step: int) -> float | None:
-        j = i + step
-        if 0 <= j < n:
-            return signal[j]
-        return signal[j % n] if periodic else None
-
-    raw = []
-    for i in range(n):
-        left, right = neighbor(i, -1), neighbor(i, 1)
-        if left is None or right is None:
-            continue
-        if signal[i] > left and signal[i] > right and signal[i] > threshold:
-            raw.append(i)
+    peaks = (signal > np.roll(signal, 1)) & (signal > np.roll(signal, -1)) & (signal > threshold)
+    if not periodic:
+        peaks[[0, -1]] = False
+    raw = np.flatnonzero(peaks)
 
     positions = []
     for i in raw:

@@ -1,8 +1,8 @@
 """Finite superpositions of coherent states.
 
 Every input state of the interferometer (laser light, even cat states, the
-four-component multi-photonic superpositions) is represented as a finite list
-of weighted coherent amplitudes.  Normalization, overlaps and photon-number
+four-component multi-photonic superpositions) is represented by two arrays,
+weights and coherent amplitudes.  Normalization, overlaps and photon-number
 moments are computed from the Gram matrix of the amplitude set, so one code
 path serves every state kind; the per-kind closed forms live in
 :mod:`qlidar.closedform` and are used only as regression checks.
@@ -10,7 +10,6 @@ path serves every state kind; the per-kind closed forms live in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,32 +23,33 @@ class DegenerateState(ValueError):
     """Term list with numerically zero norm (e.g. MPS with j != 0 at alpha -> 0)."""
 
 
-def _require_finite(z: complex, what: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite, got {z!r}")
+def _coherent_arrays(weights, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Validated complex copies of matching, nonempty, finite 1-D weight and amplitude arrays."""
+    w = np.array(weights, dtype=complex)
+    a = np.array(amplitudes, dtype=complex)
+    if w.ndim != 1 or w.shape != a.shape:
+        raise ValueError("weights and amplitudes must be matching 1-D arrays")
+    if not len(w):
+        raise ValueError("state needs at least one term")
+    if not (np.isfinite(w).all() and np.isfinite(a).all()):
+        raise ValueError("weights and amplitudes must be finite")
+    return w, a
+
+
+def _overlap_exponent(u: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """-(|u_i|^2 + |u_j|^2)/2 + c conj(u_i) u_j for every pair (i, j) along the first axis of u.
+
+    With c = 1 its exponential is the coherent overlap <u_i|u_j>; c = -1 gives
+    <u_i|Pi|u_j> with Pi the parity operator, c = 0 the vacuum projector.
+    """
+    uu = np.abs(u) ** 2
+    return -0.5 * (uu[:, None] + uu[None, :]) + c * np.conj(u)[:, None] * u[None, :]
 
 
 def overlap(a: complex, b: complex) -> complex:
     """Overlap <a|b> of two coherent states: exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)."""
-    a = complex(a)
-    b = complex(b)
-    _require_finite(a, "amplitude")
-    _require_finite(b, "amplitude")
-    return cmath.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + a.conjugate() * b)
-
-
-@dataclass(frozen=True)
-class CoherentTerm:
-    """One weighted coherent component of a superposition."""
-
-    weight: complex
-    amplitude: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", complex(self.weight))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        _require_finite(self.weight, "weight")
-        _require_finite(self.amplitude, "amplitude")
+    _, u = _coherent_arrays([1.0, 1.0], [a, b])
+    return complex(np.exp(_overlap_exponent(u))[0, 1])
 
 
 class StateKind(Enum):
@@ -75,58 +75,42 @@ class StateKind(Enum):
 MPS_INDEX = {StateKind.MPS0: 0, StateKind.MPS1: 1, StateKind.MPS2: 2, StateKind.MPS3: 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class SuperposedState:
-    """Ordered list of coherent terms with a normalization status flag."""
+    """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays, with a normalization flag."""
 
-    terms: tuple[CoherentTerm, ...]
+    weights: np.ndarray
+    amplitudes: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("state needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    def weights(self) -> np.ndarray:
-        return np.array([t.weight for t in self.terms], dtype=complex)
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([t.amplitude for t in self.terms], dtype=complex)
+        w, a = _coherent_arrays(self.weights, self.amplitudes)
+        w.flags.writeable = a.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "amplitudes", a)
 
 
-def gram_sum(terms) -> float:
-    """sum_ij conj(w_i) w_j <a_i|a_j> for a term list; the squared norm."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty term list")
-    w = np.array([t.weight for t in terms], dtype=complex)
-    a = np.array([t.amplitude for t in terms], dtype=complex)
-    aa = np.abs(a) ** 2
-    gram = np.exp(-0.5 * (aa[:, None] + aa[None, :]) + np.conj(a)[:, None] * a[None, :])
-    total = np.conj(w) @ gram @ w
+def gram_sum(weights, amplitudes) -> float:
+    """sum_ij conj(w_i) w_j <a_i|a_j>, the squared norm of sum_k w_k |a_k>."""
+    w, a = _coherent_arrays(weights, amplitudes)
+    total = np.conj(w) @ np.exp(_overlap_exponent(a)) @ w
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise ArithmeticError(f"Gram sum not real: {total!r}")
     return float(total.real)
 
 
-def normalization_constant(terms) -> float:
-    """Scale factor that normalizes a term list, (sum_ij conj(w_i) w_j <a_i|a_j>)^(-1/2)."""
-    total = gram_sum(terms)
+def normalization_constant(weights, amplitudes) -> float:
+    """Scale factor that normalizes sum_k w_k |a_k>, (sum_ij conj(w_i) w_j <a_i|a_j>)^(-1/2)."""
+    total = gram_sum(weights, amplitudes)
     if total < GRAM_DEGENERACY_THRESHOLD:
         raise DegenerateState(f"Gram sum {total:.3e} below {GRAM_DEGENERACY_THRESHOLD:g}")
     return 1.0 / math.sqrt(total)
 
 
-def _normalize_terms(terms) -> SuperposedState:
-    scale = normalization_constant(terms)
-    scaled = tuple(CoherentTerm(t.weight * scale, t.amplitude) for t in terms)
-    return SuperposedState(scaled, normalized=True)
-
-
-def custom_state(terms) -> SuperposedState:
-    """Normalized state from an explicit term list."""
-    return _normalize_terms([CoherentTerm(t.weight, t.amplitude) for t in terms])
+def custom_state(weights, amplitudes) -> SuperposedState:
+    """Normalized state sum_k w_k |a_k> from explicit weight and amplitude arrays."""
+    w, a = _coherent_arrays(weights, amplitudes)
+    return SuperposedState(w * normalization_constant(w, a), a, normalized=True)
 
 
 def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
@@ -137,16 +121,14 @@ def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     (alpha, i alpha, -alpha, -i alpha) with weights (-i)^(j m).
     """
     alpha = complex(alpha)
-    _require_finite(alpha, "alpha")
     if kind is StateKind.CS:
-        return SuperposedState((CoherentTerm(1.0, alpha),), normalized=True)
+        return SuperposedState([1.0], [alpha], normalized=True)
     if kind is StateKind.ECSS:
-        return _normalize_terms([CoherentTerm(1.0, 1j * alpha), CoherentTerm(1.0, -1j * alpha)])
+        return custom_state([1.0, 1.0], [1j * alpha, -1j * alpha])
     if kind in MPS_INDEX:
         j = MPS_INDEX[kind]
-        terms = [CoherentTerm((-1j) ** (j * m), 1j**m * alpha) for m in range(4)]
-        return _normalize_terms(terms)
-    raise ValueError("custom states carry explicit term lists; use custom_state()")
+        return custom_state([(-1j) ** (j * m) for m in range(4)], [1j**m * alpha for m in range(4)])
+    raise ValueError("custom states carry explicit weight and amplitude arrays; use custom_state()")
 
 
 def vacuum() -> SuperposedState:
@@ -158,41 +140,28 @@ def mean_photon_number(state: SuperposedState) -> float:
     """<n> = sum_ij conj(w_i) w_j conj(a_i) a_j <a_i|a_j> of a normalized state."""
     if not state.normalized:
         raise ValueError("state must be normalized")
-    w = state.weights()
-    a = state.amplitudes()
-    aa = np.abs(a) ** 2
-    gram = np.exp(-0.5 * (aa[:, None] + aa[None, :]) + np.conj(a)[:, None] * a[None, :])
+    w, a = state.weights, state.amplitudes
+    gram = np.exp(_overlap_exponent(a))
     val = np.conj(w) @ (np.conj(a)[:, None] * a[None, :] * gram) @ w
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"mean photon number not real: {val!r}")
     return max(float(val.real), 0.0)
 
 
-@dataclass(frozen=True)
-class CoherentDyad:
-    """coeff * |ket><bra| between coherent states; building block of mixed states."""
+@dataclass(frozen=True, eq=False)
+class CoherentOperator:
+    """sum_ij coeffs[i, j] |amplitudes[j]><amplitudes[i]|, e.g. a pure or reduced density operator."""
 
-    coeff: complex
-    ket: complex
-    bra: complex
-
-
-@dataclass(frozen=True)
-class CoherentDyadMixture:
-    """Operator given as a finite sum of coherent dyads (e.g. a reduced port state)."""
-
-    dyads: tuple[CoherentDyad, ...]
+    coeffs: np.ndarray
+    amplitudes: np.ndarray
 
     def trace(self) -> complex:
-        return sum(d.coeff * overlap(d.bra, d.ket) for d in self.dyads)
+        return complex(np.sum(self.coeffs * np.exp(_overlap_exponent(self.amplitudes))))
 
 
-def as_dyad_mixture(state: SuperposedState) -> CoherentDyadMixture:
-    """Density operator |psi><psi| of a pure superposition in dyad form."""
+def density_operator(state: SuperposedState) -> CoherentOperator:
+    """|psi><psi| of a normalized superposition: coefficients conj(w_i) w_j."""
     if not state.normalized:
         raise ValueError("state must be normalized")
-    dyads = []
-    for ti in state.terms:
-        for tj in state.terms:
-            dyads.append(CoherentDyad(tj.weight * ti.weight.conjugate(), tj.amplitude, ti.amplitude))
-    return CoherentDyadMixture(tuple(dyads))
+    w = state.weights
+    return CoherentOperator(np.conj(w)[:, None] * w[None, :], state.amplitudes)

@@ -1,13 +1,14 @@
 """Phase-space (Wigner) distribution of coherent superpositions.
 
 One cross-term kernel serves both pure superpositions and reduced port-a
-states: for the dyad |k><b| between coherent amplitudes the distribution is
+states, each a :class:`~qlidar.states.CoherentOperator` sum_ij C_ij |a_j><a_i|:
+for the dyad |k><b| between coherent amplitudes the distribution is
 
     W(lam) = (2/pi) exp(-2(lam - k)(conj(lam) - conj(b))) <b|k>,
 
 which integrates to <b|k> and reduces to the familiar Gaussian for k = b.
-Sums of dyads are evaluated pointwise; negativity anywhere certifies a
-nonclassical state.
+Dyad sums are evaluated pointwise, one (i, j) pair at a time; negativity
+anywhere certifies a nonclassical state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CoherentDyadMixture, SuperposedState, as_dyad_mixture
+from .states import CoherentOperator, SuperposedState, density_operator
 
 WIGNER_BOUND = 2.0 / math.pi
 BOUND_TOL = 1e-9
@@ -45,28 +46,30 @@ class NegativitySummary:
     negative_volume: float
 
 
-def _dyads(state) -> CoherentDyadMixture:
-    if isinstance(state, CoherentDyadMixture):
+def _operator(state) -> CoherentOperator:
+    if isinstance(state, CoherentOperator):
         return state
     if isinstance(state, SuperposedState):
-        return as_dyad_mixture(state)
-    raise TypeError("expected a SuperposedState or CoherentDyadMixture")
+        return density_operator(state)
+    raise TypeError("expected a SuperposedState or CoherentOperator")
 
 
-def _evaluate(mixture: CoherentDyadMixture, lam: np.ndarray) -> np.ndarray:
+def _evaluate(op: CoherentOperator, lam: np.ndarray) -> np.ndarray:
     total = np.zeros(lam.shape, dtype=complex)
-    for dyad in mixture.dyads:
-        k, b, c = dyad.ket, dyad.bra, dyad.coeff
-        if c == 0:
-            continue
-        exponent = (
-            -2.0 * lam * np.conj(lam)
-            + 2.0 * np.conj(lam) * k
-            + 2.0 * lam * np.conj(b)
-            - 0.5 * (abs(k) ** 2 + abs(b) ** 2)
-            - np.conj(b) * k
-        )
-        total += c * np.exp(exponent)
+    amps = op.amplitudes.tolist()
+    for i, b in enumerate(amps):
+        for j, k in enumerate(amps):
+            c = complex(op.coeffs[i, j])
+            if c == 0:
+                continue
+            exponent = (
+                -2.0 * lam * np.conj(lam)
+                + 2.0 * np.conj(lam) * k
+                + 2.0 * lam * np.conj(b)
+                - 0.5 * (abs(k) ** 2 + abs(b) ** 2)
+                - np.conj(b) * k
+            )
+            total += c * np.exp(exponent)
     residue = float(np.max(np.abs(total.imag)))
     if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(total.real)))):
         raise ArithmeticError(f"Wigner values have imaginary residue {residue:.3e}")
@@ -75,14 +78,12 @@ def _evaluate(mixture: CoherentDyadMixture, lam: np.ndarray) -> np.ndarray:
 
 def wigner_point(state, lam: complex) -> float:
     """W at a single phase-space point lam = y1 + i y2."""
-    return float(_evaluate(_dyads(state), np.array(complex(lam))))
+    return float(_evaluate(_operator(state), np.array(complex(lam))))
 
 
 def default_window(state) -> float:
     """Half-width capturing every Gaussian lobe of the state to far below 1e-9."""
-    mixture = _dyads(state)
-    reach = max(max(abs(d.ket), abs(d.bra)) for d in mixture.dyads)
-    return reach + 5.0
+    return max(map(abs, _operator(state).amplitudes.tolist())) + 5.0
 
 
 def wigner_grid(
@@ -101,7 +102,7 @@ def wigner_grid(
     y1 = np.linspace(y1_range[0], y1_range[1], resolution)
     y2 = np.linspace(y2_range[0], y2_range[1], resolution)
     lam = y1[:, None] + 1j * y2[None, :]
-    values = _evaluate(_dyads(state), lam)
+    values = _evaluate(_operator(state), lam)
     peak = float(np.max(np.abs(values)))
     if peak > WIGNER_BOUND + BOUND_TOL:
         raise ArithmeticError(f"Wigner magnitude {peak:.6f} exceeds 2/pi")

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,22 @@ class TestSpecHandling:
     def test_bad_phi_grid(self, capsys):
         assert run_cli(["signal", "--state-a", "cs", "--phi-steps", "1"]) == cli.EXIT_INVALID_SPEC
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wigner", "--window", "nan"],
+            ["wigner", "--window", "inf"],
+            ["signal", "--phi-max", "inf"],
+            ["signal", "--phi-min=-inf"],
+            ["sensitivity", "--phi-max", "inf"],
+            ["sensitivity", "--phi-min=-inf"],
+        ],
+    )
+    def test_nonfinite_spec_rejected(self, args, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = run_cli(["signal", "--state-a", "cs", "--phi-steps", "3", "--out", str(missing)])
@@ -271,10 +289,13 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    # the child finds the package where this process imported it, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "qlidar.cli", "signal", "--state-a", "cs", "--phi-steps", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("phi,value")

@@ -8,7 +8,7 @@ from helpers import binary_probabilities
 from qlidar import detection, fock_oracle
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import CoherentTerm, StateKind, custom_state, make_state, vacuum
+from qlidar.states import StateKind, custom_state, make_state, vacuum
 
 
 def cs(alpha2):
@@ -179,7 +179,7 @@ class TestInvariances:
         alpha = math.sqrt(2.0)
         base = make_state(StateKind.MPS1, alpha)
         phase = cmath.exp(0.37j)
-        rotated = custom_state([CoherentTerm(t.weight * phase, t.amplitude) for t in base.terms])
+        rotated = custom_state(base.weights * phase, base.amplitudes)
         cfg = MziConfig(phi=1.2, loss_r=0.3)
         out_a, out_b = propagate(base, vacuum(), cfg), propagate(rotated, vacuum(), cfg)
         assert detection.parity_expectation(out_a) == pytest.approx(detection.parity_expectation(out_b), abs=1e-12)
@@ -202,6 +202,16 @@ class TestInvariances:
                 assert slopes[i] == pytest.approx(
                     detection.expectation_derivative(sa, sb, cfg, scheme), abs=1e-12
                 )
+
+    def test_nonfinite_phase_rejected_like_config(self):
+        with pytest.raises(ValueError) as from_config:
+            MziConfig(phi=math.nan)
+        sa = make_state(StateKind.CS, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for sweep in (detection.expectation_curve, detection.expectation_derivative_curve):
+                with pytest.raises(ValueError) as from_curve:
+                    sweep(sa, vacuum(), Scheme.PARITY, [0.0, bad])
+                assert str(from_curve.value) == str(from_config.value)
 
     def test_scheme_parse(self):
         assert Scheme.parse("PARITY") is Scheme.PARITY

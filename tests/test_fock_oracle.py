@@ -80,7 +80,7 @@ class TestBeamSplitter:
         sa, sb = make_state(StateKind.CS, 1.2), make_state(StateKind.CS, 0.7)
         cfg = MziConfig(phi=1.3, loss_r=0.3)
         res = fo.simulate(sa, sb, cfg)
-        port_a = (mode_transform(cfg) @ np.array([1.2, 0.7]))[0]
+        port_a = (mode_transform(cfg.phi, cfg.loss_r)[0] @ np.array([1.2, 0.7]))[0]
         mean = abs(port_a) ** 2
         ns = np.arange(len(res.probs))
         from scipy.special import gammaln

@@ -23,10 +23,6 @@ class TestConfig:
         cfg = MziConfig(phi=0.1, loss_r=0.6)
         assert cfg.loss_t == pytest.approx(0.8)
 
-    def test_inconsistent_split_rejected(self):
-        with pytest.raises(ValueError):
-            MziConfig(phi=0.0, loss_r=0.5, loss_t=0.9)
-
     def test_range_checks(self):
         with pytest.raises(ValueError):
             MziConfig(phi=0.0, loss_r=1.5)
@@ -36,32 +32,32 @@ class TestConfig:
 
 class TestModeTransform:
     def test_zero_phase_swaps_ports(self):
-        m = mode_transform(MziConfig.lossless(0.0))
+        m = mode_transform(0.0)[0]
         v = m @ np.array([2.0, 3.0])
         assert np.allclose(v, [3j, 2j, 0.0, 0.0], atol=1e-15)
 
     def test_pi_phase_keeps_port_a(self):
-        m = mode_transform(MziConfig.lossless(math.pi))
+        m = mode_transform(math.pi)[0]
         v = m @ np.array([1.7, 0.0])
         assert abs(v[0]) == pytest.approx(1.7, abs=1e-12)
         assert abs(v[1]) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("cfg", CONFIG_GRID)
     def test_isometry(self, cfg):
-        m = mode_transform(cfg)
+        m = mode_transform(cfg.phi, cfg.loss_r)[0]
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("phi", [0.3, 1.0, 2.8])
     def test_environment_share(self, phi):
         cfg = MziConfig(phi=phi, loss_r=0.4)
-        v = mode_transform(cfg) @ np.array([1.3, 0.0])
+        v = mode_transform(cfg.phi, cfg.loss_r)[0] @ np.array([1.3, 0.0])
         env = abs(v[2]) ** 2 + abs(v[3]) ** 2
         assert env == pytest.approx(0.4**2 * 1.3**2, abs=1e-12)
 
     def test_phase_rides_on_env_a(self):
         # loss acts after the phase shifter, so env a carries e^{i phi}
         cfg = MziConfig(phi=1.9, loss_r=0.3)
-        m = mode_transform(cfg)
+        m = mode_transform(cfg.phi, cfg.loss_r)[0]
         rbar = 1j * 0.3 / math.sqrt(2.0)
         assert m[2, 0] == pytest.approx(rbar * cmath.exp(1.9j), abs=1e-14)
         assert m[3, 0] == pytest.approx(1j * rbar, abs=1e-14)
@@ -101,10 +97,10 @@ class TestPropagate:
         sb = make_state(StateKind.ECSS, 0.5)
         out = propagate(sa, sb, MziConfig.lossless(0.4))
         assert len(out.weights) == 8
-        assert out.weights[0] == pytest.approx(sa.terms[0].weight * sb.terms[0].weight)
+        assert out.weights[0] == pytest.approx(sa.weights[0] * sb.weights[0])
 
     def test_requires_normalized(self):
-        raw = states.SuperposedState((states.CoherentTerm(1.0, 1.0),), normalized=False)
+        raw = states.SuperposedState([1.0], [1.0], normalized=False)
         with pytest.raises(ValueError):
             propagate(raw, vacuum(), MziConfig.lossless(0.1))
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig
 from qlidar.states import StateKind, make_state, vacuum
 
+BENCH_WIDTHS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "fwhm.json"
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 
 
@@ -88,6 +91,23 @@ class TestFwhm:
         assert (max(widths) - min(widths)) / min(widths) < 0.05
 
 
+class TestStoredWidths:
+    def test_reproduces_bench_refs(self):
+        # the eight parity/mps3 widths meet their half level at a flat inflection,
+        # where one ulp of evaluator change moves the crossing far beyond the tolerance
+        refs = json.loads(BENCH_WIDTHS.read_text())
+        grid = refs["alpha2_grid"]
+        off = {}
+        for key, width in refs["widths"].items():
+            scheme, kind, index = key.split("/")
+            state = make_state(StateKind.parse(kind), math.sqrt(grid[int(index)]))
+            got = met.fwhm(met.sample_curve(state, vacuum(), Scheme.parse(scheme)))
+            if abs(got - width) > 2 * met.REFINE_TOL:
+                off[key] = got - width
+        assert len(refs["widths"]) == 96
+        assert off == {}
+
+
 class TestPeakCount:
     def _curve(self, kind, alpha2=2.0, scheme=Scheme.PARITY):
         return met.sample_curve(make_state(kind, math.sqrt(alpha2)), vacuum(), scheme)
@@ -112,6 +132,33 @@ class TestPeakCount:
         base = met.peak_count(curve, (-math.pi, math.pi))
         assert met.peak_count(curve, (math.pi, 3 * math.pi)) == base
         assert met.peak_count(curve, (-math.pi + 2 * math.pi, math.pi + 2 * math.pi)) == base
+
+    def test_scans_match_per_sample_loops(self):
+        # tie-heavy integer samples: the array comparisons must pick exactly the
+        # indices of the per-sample scans they replaced
+        def loop_extrema(v):
+            maxima = [i for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]]
+            minima = [i for i in range(1, len(v) - 1) if v[i - 1] > v[i] < v[i + 1]]
+            return maxima, minima
+
+        def loop_peaks(v, periodic, threshold):
+            n = len(v)
+            inner = range(n) if periodic else range(1, n - 1)
+            return [i for i in inner if v[i - 1] < v[i] > v[(i + 1) % n] and v[i] > threshold]
+
+        rng = np.random.default_rng(11)
+        for n, periodic in ((2048, True), (2048, False), (5, False)):
+            for _ in range(20):
+                values = rng.integers(-2, 3, size=n).astype(float)
+                maxima, minima = met._interior_extrema(values)
+                assert (maxima.tolist(), minima.tolist()) == loop_extrema(values)
+                if n < 1000:
+                    continue
+                span = 2 * math.pi if periodic else 3.0
+                phis = np.linspace(-math.pi, -math.pi + span, n, endpoint=not periodic)
+                curve = met.SignalCurve(phis=phis, values=values, scheme=Scheme.PARITY)
+                got = met.peak_locations(curve, (-math.pi, math.pi), midline=0.0, threshold=0.5)
+                assert got == pytest.approx(sorted(phis[loop_peaks(values, periodic, 0.5)]), abs=1e-12)
 
     def test_coarse_sampling_rejected(self):
         phis = np.linspace(-math.pi, math.pi, 64)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from qlidar import detection, fock_oracle, metrology
+from qlidar import detection, fock_oracle, metrology, wigner
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import StateKind, make_state, vacuum
+from qlidar.states import StateKind, density_operator, make_state, vacuum
 
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 
@@ -74,7 +74,7 @@ def test_scalar_matches_curve(kind, alpha2, zeta2, loss_r, scheme, phase_list):
     sa, sb = _inputs(kind, alpha2, zeta2)
     # Both paths cancel pair terms of size |w_i w_j|, so rounding grows with the
     # squared weight mass (about 6600 for mps3 at alpha2 = 0.1, 1 for cs).
-    tol = 1e-13 * (np.sum(np.abs(sa.weights())) * np.sum(np.abs(sb.weights()))) ** 2
+    tol = 1e-13 * (np.sum(np.abs(sa.weights)) * np.sum(np.abs(sb.weights))) ** 2
     curve = detection.expectation_curve(sa, sb, scheme, phase_list, loss_r)
     for phi, value in zip(phase_list, curve):
         assert abs(detection.expectation(sa, sb, MziConfig(phi=phi, loss_r=loss_r), scheme) - value) < tol
@@ -86,3 +86,13 @@ def test_phase_sensitivity_is_one_point_curve(kind, alpha2, zeta2, phi, loss_r, 
     sa, sb = _inputs(kind, alpha2, zeta2)
     point = metrology.phase_sensitivity(sa, sb, MziConfig(phi=phi, loss_r=loss_r), scheme)
     assert point == metrology.sensitivity_curve(sa, sb, scheme, [phi], loss_r)[0]
+
+
+@PROPERTY_SETTINGS
+@given(kinds, alpha2s, zeta2s, phis, losses)
+def test_wigner_integral_equals_trace(kind, alpha2, zeta2, phi, loss_r):
+    sa, sb = _inputs(kind, alpha2, zeta2)
+    reduced = detection.reduced_port_a(propagate(sa, sb, MziConfig(phi=phi, loss_r=loss_r)))
+    for op in (density_operator(sa), reduced):
+        # Gaussian lobes of width 1/2 on a 0.1-0.2 step: the grid sum is exact to rounding
+        assert abs(wigner.wigner_grid(op, resolution=101).integral - op.trace()) < 1e-9

@@ -6,11 +6,10 @@ import pytest
 
 from qlidar import states
 from qlidar.states import (
-    CoherentTerm,
     DegenerateState,
     StateKind,
-    as_dyad_mixture,
     custom_state,
+    density_operator,
     gram_sum,
     make_state,
     mean_photon_number,
@@ -29,13 +28,12 @@ def fock_mean_photon(state, cutoff):
     coeffs = np.zeros(cutoff + 1, dtype=complex)
     from scipy.special import gammaln
 
-    for term in state.terms:
-        a = term.amplitude
+    for w, a in zip(state.weights, state.amplitudes):
         if a == 0:
-            coeffs[0] += term.weight
+            coeffs[0] += w
             continue
         logmag = -0.5 * abs(a) ** 2 + ls * math.log(abs(a)) - 0.5 * gammaln(ls + 1)
-        coeffs += term.weight * np.exp(logmag + 1j * ls * np.angle(a))
+        coeffs += w * np.exp(logmag + 1j * ls * np.angle(a))
     return float(np.sum(ls * np.abs(coeffs) ** 2))
 
 
@@ -64,32 +62,32 @@ class TestOverlap:
 class TestMakeState:
     def test_cs_single_term(self):
         s = make_state(StateKind.CS, 2.0)
-        assert len(s.terms) == 1
-        assert s.terms[0].weight == 1.0
-        assert s.terms[0].amplitude == 2.0
+        assert len(s.weights) == 1
+        assert s.weights[0] == 1.0
+        assert s.amplitudes[0] == 2.0
         assert s.normalized
 
     def test_mps0_structure(self):
         alpha = 1.1 + 0.3j
         s = make_state(StateKind.MPS0, alpha)
-        assert len(s.terms) == 4
-        amps = s.amplitudes()
+        assert len(s.weights) == 4
+        amps = s.amplitudes
         assert np.allclose(amps, [alpha, 1j * alpha, -alpha, -1j * alpha])
-        w = s.weights()
+        w = s.weights
         assert np.allclose(w, w[0])
 
     def test_mps_weight_phases(self):
         s = make_state(StateKind.MPS3, 1.0)
-        w = s.weights()
+        w = s.weights
         ratios = w / w[0]
         assert np.allclose(ratios, [1, (-1j) ** 3, (-1j) ** 6, (-1j) ** 9])
 
     def test_ecss_structure(self):
         alpha = 0.8
         s = make_state(StateKind.ECSS, alpha)
-        assert len(s.terms) == 2
-        assert np.allclose(s.amplitudes(), [1j * alpha, -1j * alpha])
-        assert s.weights()[0] == pytest.approx(s.weights()[1])
+        assert len(s.weights) == 2
+        assert np.allclose(s.amplitudes, [1j * alpha, -1j * alpha])
+        assert s.weights[0] == pytest.approx(s.weights[1])
 
     def test_custom_requires_explicit_terms(self):
         with pytest.raises(ValueError):
@@ -106,14 +104,13 @@ class TestNormalization:
     @pytest.mark.parametrize("alpha2", ALPHA2_GRID)
     def test_unit_gram_sum(self, kind, alpha2):
         s = make_state(kind, math.sqrt(alpha2))
-        assert gram_sum(s.terms) == pytest.approx(1.0, abs=1e-12)
+        assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_mps0_at_zero(self):
-        terms = [CoherentTerm(1j**0, 0.0) for _ in range(4)]
-        assert normalization_constant(terms) == pytest.approx(0.25, abs=1e-15)
+        assert normalization_constant([1j**0] * 4, [0.0] * 4) == pytest.approx(0.25, abs=1e-15)
 
     def test_cs_is_unity(self):
-        assert normalization_constant([CoherentTerm(1.0, 1.7)]) == pytest.approx(1.0)
+        assert normalization_constant([1.0], [1.7]) == pytest.approx(1.0)
 
     def test_gram_matches_paired_form(self):
         # two independent routes: Gram matrix vs the +/- scalar expression
@@ -121,10 +118,9 @@ class TestNormalization:
 
         for j in range(4):
             for alpha2 in (0.5, 2.0, 8.0):
-                terms = [
-                    CoherentTerm((-1j) ** (j * m), 1j**m * math.sqrt(alpha2)) for m in range(4)
-                ]
-                assert normalization_constant(terms) == pytest.approx(
+                weights = [(-1j) ** (j * m) for m in range(4)]
+                amplitudes = [1j**m * math.sqrt(alpha2) for m in range(4)]
+                assert normalization_constant(weights, amplitudes) == pytest.approx(
                     normalization_mps(j, alpha2), abs=1e-12
                 )
 
@@ -135,9 +131,9 @@ class TestNormalization:
             make_state(StateKind.MPS3, 1e-9)
 
     def test_custom_state_normalizes(self):
-        s = custom_state([CoherentTerm(0.3, 0.5), CoherentTerm(2.0 - 1.0j, -0.2 + 0.1j)])
+        s = custom_state([0.3, 2.0 - 1.0j], [0.5, -0.2 + 0.1j])
         assert s.normalized
-        assert gram_sum(s.terms) == pytest.approx(1.0, abs=1e-12)
+        assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMeanPhotonNumber:
@@ -175,14 +171,7 @@ class TestEcssEquivalence:
     def test_matches_general_coefficient_form(self):
         alpha = math.sqrt(2.0)
         ecss = make_state(StateKind.ECSS, alpha)
-        general = custom_state(
-            [
-                CoherentTerm(0.0, alpha),
-                CoherentTerm(1.0, 1j * alpha),
-                CoherentTerm(0.0, -alpha),
-                CoherentTerm(1.0, -1j * alpha),
-            ]
-        )
+        general = custom_state([0.0, 1.0, 0.0, 1.0], [alpha, 1j * alpha, -alpha, -1j * alpha])
         assert mean_photon_number(ecss) == pytest.approx(mean_photon_number(general), abs=1e-12)
         from qlidar import detection, interferometer
 
@@ -200,15 +189,25 @@ class TestEcssEquivalence:
 class TestDyads:
     def test_pure_state_trace(self):
         s = make_state(StateKind.MPS2, 1.0 + 0.5j)
-        mix = as_dyad_mixture(s)
-        assert len(mix.dyads) == 16
+        mix = density_operator(s)
+        assert mix.coeffs.shape == (4, 4)
         assert mix.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):
-        raw = states.SuperposedState((CoherentTerm(2.0, 1.0),), normalized=False)
+        raw = states.SuperposedState([2.0], [1.0], normalized=False)
         with pytest.raises(ValueError):
-            as_dyad_mixture(raw)
+            density_operator(raw)
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
-            states.SuperposedState((), normalized=False)
+            states.SuperposedState([], [], normalized=False)
+
+    @pytest.mark.parametrize(
+        "weights,amplitudes",
+        [([1.0, 1.0], [0.5]), ([[1.0]], [[0.5]]), ([math.nan], [0.5]), ([1.0], [complex(0.5, math.inf)])],
+    )
+    def test_malformed_arrays_rejected(self, weights, amplitudes):
+        with pytest.raises(ValueError):
+            states.SuperposedState(weights, amplitudes)
+        with pytest.raises(ValueError):
+            custom_state(weights, amplitudes)

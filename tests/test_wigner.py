@@ -15,8 +15,8 @@ ALPHA = 1.0 + 1.0j  # x1 = x2 = 1
 def displaced_parity_wigner(state, lam, cutoff=40):
     """Independent route: number-basis density matrix and exponentiated displacement."""
     coeffs = np.zeros(cutoff + 1, dtype=complex)
-    for term in state.terms:
-        coeffs += term.weight * fock_oracle.coherent_amplitudes(term.amplitude, cutoff)
+    for w, a in zip(state.weights, state.amplitudes):
+        coeffs += w * fock_oracle.coherent_amplitudes(a, cutoff)
     lower = np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1)
     displacement = scipy.linalg.expm(lam * lower.conj().T - np.conj(lam) * lower)
     parity = np.diag((-1.0) ** np.arange(cutoff + 1))
