@@ -2,11 +2,13 @@
 
 Subcommands reproduce the library's figure data (signal and sensitivity
 curves, fringe-width sweeps, phase-space grids, loss sweeps) and run the
-engine-versus-oracle regression grid.  Specs are taken from flags or a plain
-key=value config file, flags winning; identical specs produce byte-identical
-output files.
+engine-versus-oracle regression grid.  Each subcommand takes only the flags
+it reads.  A key=value config file (--config) is read as --key=value flags
+placed before the command line's own, so flags win; identical specs produce
+byte-identical output files.
 
-Exit codes: 0 success, 1 invalid spec, 2 oracle disagreement, 3 I/O failure.
+Exit codes: 0 success, 1 invalid spec or usage error, 2 oracle disagreement,
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -51,14 +53,10 @@ def _fmt(x) -> str:
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    if fmt == "json":
         text = json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
     else:
-        raise InvalidSpec(f"format must be csv or json, got {fmt!r}")
+        text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -137,8 +135,6 @@ def cmd_fwhm(spec) -> int:
         raise InvalidSpec("alpha2-steps must be at least 1")
     if spec.alpha2_min <= 0 or spec.alpha2_max < spec.alpha2_min:
         raise InvalidSpec("alpha2 grid must be positive and increasing")
-    if spec.sweep not in ("alpha2", "zeta2"):
-        raise InvalidSpec("sweep must be alpha2 or zeta2")
     scheme = Scheme.parse(spec.scheme)
     loss_r = _check_loss(spec.loss_r)
     grid = np.linspace(spec.alpha2_min, spec.alpha2_max, spec.alpha2_steps)
@@ -240,8 +236,92 @@ def cmd_oracle_check(spec) -> int:
     return EXIT_OK
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _switch(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+# Every option once, keyed by flag; a subcommand adds the flags it lists in _COMMANDS.
+_OPTIONS = {
+    "--state-a": dict(default="cs", help="input state kind (cs, ecss, mps0..mps3, vacuum)"),
+    "--alpha2": dict(type=float, default=2.0, help="|alpha|^2 of the first input"),
+    "--state-b": dict(default="vacuum", help="second input kind"),
+    "--zeta2": dict(type=float, default=0.0, help="|zeta|^2 of the second input"),
+    "--scheme": dict(default="parity", help="detection scheme: parity or z"),
+    "--phi-min": dict(type=float, default=-math.pi, help="first phase of the grid"),
+    "--phi-max": dict(type=float, default=math.pi, help="last phase of the grid"),
+    "--phi-steps": dict(type=int, default=201, help="phases in the grid"),
+    "--loss-r": dict(type=float, default=0.0, help="loss reflectivity in [0, 1)"),
+    "--alpha2-min": dict(type=float, default=0.5, help="first x value (|alpha|^2, or |zeta|^2 with --sweep zeta2)"),
+    "--alpha2-max": dict(type=float, default=8.0, help="last x value"),
+    "--alpha2-steps": dict(type=int, default=8, help="x values"),
+    "--sweep": dict(choices=("alpha2", "zeta2"), default="alpha2", help="variable carried in the x column"),
+    "--alpha-re": dict(type=float, default=1.0, help="real part of the coherent amplitude"),
+    "--alpha-im": dict(type=float, default=1.0, help="imaginary part of the coherent amplitude"),
+    "--window": dict(type=float, default=None, help="half-width of the square grid; None covers every lobe"),
+    "--resolution": dict(type=int, default=201, help="grid points per axis"),
+    "--phi": dict(type=float, default=0.02, help="fixed phase for the ratio metric"),
+    "--metric": dict(choices=("ratio", "fwhm"), default="ratio", help="figure of merit"),
+    "--r-min": dict(type=float, default=0.0, help="first loss reflectivity"),
+    "--r-max": dict(type=float, default=0.5, help="last loss reflectivity"),
+    "--r-steps": dict(type=int, default=6, help="loss reflectivities"),
+    "--quick": dict(type=_switch, nargs="?", const=True, default=False, help="small subgrid"),
+    "--out": dict(default=None, help="output path; None writes to stdout"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+}
+
+_PAIR = ("--state-a", "--alpha2", "--state-b", "--zeta2", "--scheme")
+_CURVE = _PAIR + ("--phi-min", "--phi-max", "--phi-steps", "--loss-r")
+_OUTPUT = ("--out", "--format")
+
+_COMMANDS = {
+    "signal": (cmd_signal, "observable vs phase (state-a may be a comma list)", _CURVE + _OUTPUT),
+    "sensitivity": (cmd_sensitivity, "delta-phi, shot-noise floor and their ratio vs phase", _CURVE + _OUTPUT),
+    "fwhm": (
+        cmd_fwhm,
+        "fringe width of all six states vs |alpha|^2",
+        ("--alpha2", "--scheme", "--loss-r", "--alpha2-min", "--alpha2-max", "--alpha2-steps", "--sweep") + _OUTPUT,
+    ),
+    "wigner": (
+        cmd_wigner,
+        "phase-space grid of one input state",
+        ("--state-a", "--alpha-re", "--alpha-im", "--window", "--resolution") + _OUTPUT,
+    ),
+    "loss": (
+        cmd_loss,
+        "figure of merit vs loss reflectivity",
+        _PAIR + ("--phi", "--metric", "--r-min", "--r-max", "--r-steps") + _OUTPUT,
+    ),
+    "oracle-check": (cmd_oracle_check, "engine vs Fock-oracle regression grid", ("--quick",) + _OUTPUT),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors exit 1 like any invalid spec; exit 2 means oracle disagreement
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="qlidar", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(
+            name, help=summary, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        p.add_argument("--config", help="key=value spec file; keys are flag names, flags override it")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+    return parser
+
+
+def _config_flags(path: str) -> list[str]:
+    """The key=value lines of a spec file as --key=value flags; '#' starts a comment."""
+    flags = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -251,145 +331,24 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise InvalidSpec(f"{path}:{lineno}: expected key=value")
                 key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("_", "-")
+                if key == "config":
+                    raise InvalidSpec(f"{path}:{lineno}: a config file cannot name another")
+                flags.append(f"--{key}={val.strip()}")
     except OSError as exc:
         raise IOError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-_COMMON_DEFAULTS = {
-    "state_a": "cs",
-    "alpha2": 2.0,
-    "state_b": "vacuum",
-    "zeta2": 0.0,
-    "scheme": "parity",
-    "phi_min": -math.pi,
-    "phi_max": math.pi,
-    "phi_steps": 201,
-    "loss_r": 0.0,
-    "out": None,
-    "format": "csv",
-}
-
-_COMMAND_DEFAULTS = {
-    "signal": {},
-    "sensitivity": {},
-    "fwhm": {"alpha2_min": 0.5, "alpha2_max": 8.0, "alpha2_steps": 8, "sweep": "alpha2"},
-    "wigner": {"alpha_re": 1.0, "alpha_im": 1.0, "window": None, "resolution": 201},
-    "loss": {"phi": 0.02, "metric": "ratio", "r_min": 0.0, "r_max": 0.5, "r_steps": 6},
-    "oracle-check": {"quick": False},
-}
-
-_FLOAT_KEYS = {
-    "alpha2", "zeta2", "phi_min", "phi_max", "loss_r", "alpha2_min", "alpha2_max",
-    "alpha_re", "alpha_im", "window", "phi", "r_min", "r_max",
-}
-_INT_KEYS = {"phi_steps", "alpha2_steps", "resolution", "r_steps"}
-_BOOL_KEYS = {"quick"}
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
-    return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qlidar", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value spec file; flags override it")
-        p.add_argument("--state-a", dest="state_a", help="input state kind (cs, ecss, mps0..mps3, vacuum)")
-        p.add_argument("--alpha2", type=float, help="|alpha|^2 of the first input")
-        p.add_argument("--state-b", dest="state_b", help="second input kind (default vacuum)")
-        p.add_argument("--zeta2", type=float, help="|zeta|^2 of the second input")
-        p.add_argument("--scheme", help="detection scheme: parity or z")
-        p.add_argument("--phi-min", dest="phi_min", type=float)
-        p.add_argument("--phi-max", dest="phi_max", type=float)
-        p.add_argument("--phi-steps", dest="phi_steps", type=int)
-        p.add_argument("--loss-r", dest="loss_r", type=float, help="loss reflectivity in [0, 1)")
-        p.add_argument("--out", help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-
-    p = sub.add_parser("signal", help="observable vs phase (state-a may be a comma list)")
-    add_common(p)
-
-    p = sub.add_parser("sensitivity", help="delta-phi, shot-noise floor and their ratio vs phase")
-    add_common(p)
-
-    p = sub.add_parser("fwhm", help="fringe width of all six states vs |alpha|^2")
-    add_common(p)
-    p.add_argument("--alpha2-min", dest="alpha2_min", type=float)
-    p.add_argument("--alpha2-max", dest="alpha2_max", type=float)
-    p.add_argument("--alpha2-steps", dest="alpha2_steps", type=int)
-    p.add_argument("--sweep", choices=("alpha2", "zeta2"), help="variable carried in the x column")
-
-    p = sub.add_parser("wigner", help="phase-space grid of one input state")
-    add_common(p)
-    p.add_argument("--alpha-re", dest="alpha_re", type=float)
-    p.add_argument("--alpha-im", dest="alpha_im", type=float)
-    p.add_argument("--window", type=float, help="half-width of the square grid")
-    p.add_argument("--resolution", type=int)
-
-    p = sub.add_parser("loss", help="figure of merit vs loss reflectivity")
-    add_common(p)
-    p.add_argument("--phi", type=float, help="fixed phase for the ratio metric")
-    p.add_argument("--metric", choices=("ratio", "fwhm"))
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--r-steps", dest="r_steps", type=int)
-
-    p = sub.add_parser("oracle-check", help="engine vs Fock-oracle regression grid")
-    add_common(p)
-    p.add_argument("--quick", action="store_const", const=True, help="small subgrid")
-
-    return parser
-
-
-def _resolve_spec(args: argparse.Namespace) -> argparse.Namespace:
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS[args.command])
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in file_values:
-        if key not in defaults:
-            raise InvalidSpec(f"unknown config key {key!r}")
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            continue
-        if key in file_values:
-            setattr(args, key, _coerce(key, file_values[key]))
-        else:
-            setattr(args, key, default)
-    return args
-
-
-_HANDLERS = {
-    "signal": cmd_signal,
-    "sensitivity": cmd_sensitivity,
-    "fwhm": cmd_fwhm,
-    "wigner": cmd_wigner,
-    "loss": cmd_loss,
-    "oracle-check": cmd_oracle_check,
-}
+    return flags
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        spec = _resolve_spec(args)
-        return _HANDLERS[args.command](spec)
-    except InvalidSpec as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return EXIT_INVALID_SPEC
+        spec = parser.parse_args(argv)
+        if spec.config:
+            # file entries go before the command line's flags, so the flags win
+            spec = parser.parse_args(argv[:1] + _config_flags(spec.config) + argv[1:])
+        return _COMMANDS[spec.command][0](spec)
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC

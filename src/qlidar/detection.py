@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interferometer import FourModeOutput, MziConfig, _check_phase, _input_pairs, _output, mode_transform
+from .interferometer import FourModeOutput, MziConfig, _check_loss, _check_phase, _input_pairs, _output, mode_transform
 from .states import CoherentOperator, SuperposedState, _overlap_exponent
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -185,7 +185,8 @@ def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: fl
     return aa * matrix[:, 0] + ab * matrix[:, 1], aa * derivative[:, 0] + ab * derivative[:, 1]
 
 
-def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray:
+def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool):
+    """Value sums and, if wanted, slope sums (else None) at the P phases of u, from one terms array."""
     cross = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
     coeffs = (cross, 1.0, 1.0, 1.0)
     n_pairs, _, n_phi = u.shape
@@ -201,23 +202,31 @@ def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool) -> np.ndarray
             )
     pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
     terms = pair_w * np.exp(exponent)
-    if want_derivative:
-        terms = terms * dexp
+    return _real_sums(terms, "curve"), (_real_sums(terms * dexp, "slope curve") if want_derivative else None)
+
+
+def _real_sums(terms: np.ndarray, what: str) -> np.ndarray:
     vals = np.sum(terms, axis=(0, 1))
     residue = float(np.max(np.abs(vals.imag)))
     if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(vals.real)))):
-        raise ArithmeticError(f"curve has imaginary residue {residue:.3e}")
+        raise ArithmeticError(f"{what} has imaginary residue {residue:.3e}")
     return vals.real
 
 
-def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool) -> np.ndarray:
+def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
+    """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,)."""
     w, amps_in = _input_pairs(state_a, state_b)
     phis = _check_phase(np.asarray(phis, dtype=float))
-    out = np.empty(phis.shape)
+    loss_r = _check_loss(loss_r)
+    values = np.empty(phis.shape)
+    slopes = np.empty(phis.shape) if want_derivative else None
     for lo in range(0, len(phis), CURVE_CHUNK):
-        u, du = _phase_resolved_amplitudes(amps_in, phis[lo : lo + CURVE_CHUNK], loss_r)
-        out[lo : lo + CURVE_CHUNK] = _curve_values(w, u, du, scheme, want_derivative)
-    return out
+        part = slice(lo, lo + CURVE_CHUNK)
+        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r)
+        values[part], chunk_slopes = _curve_values(w, u, du, scheme, want_derivative)
+        if want_derivative:
+            slopes[part] = chunk_slopes
+    return values, slopes
 
 
 def expectation_curve(
@@ -228,7 +237,7 @@ def expectation_curve(
     loss_r: float = 0.0,
 ) -> np.ndarray:
     """Vectorized <Pi> or <Z> over a grid of phase values."""
-    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)
+    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)[0]
 
 
 def expectation_derivative_curve(
@@ -244,7 +253,7 @@ def expectation_derivative_curve(
     matrix, so each pair term differentiates to itself times the derivative of
     its exponent; no finite differencing is involved.
     """
-    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
+    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)[1]
 
 
 def reduced_port_a(out: FourModeOutput) -> CoherentOperator:

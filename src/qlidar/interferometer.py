@@ -27,6 +27,14 @@ def _check_phase(phi):
     return phi
 
 
+def _check_loss(loss_r) -> float:
+    """Return ``loss_r`` as a float unless it lies outside [0, 1] or is NaN."""
+    loss_r = float(loss_r)
+    if not 0.0 <= loss_r <= 1.0:
+        raise ValueError(f"loss_r must lie in [0, 1], got {loss_r}")
+    return loss_r
+
+
 @dataclass(frozen=True)
 class MziConfig:
     """Phase shift plus the shared loss splitting of both arms.
@@ -39,9 +47,7 @@ class MziConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _check_phase(float(self.phi)))
-        object.__setattr__(self, "loss_r", float(self.loss_r))
-        if not 0.0 <= self.loss_r <= 1.0:
-            raise ValueError(f"loss_r must lie in [0, 1], got {self.loss_r}")
+        object.__setattr__(self, "loss_r", _check_loss(self.loss_r))
 
     @property
     def loss_t(self) -> float:

@@ -130,19 +130,15 @@ def sensitivity_curve(
     """
     floor = snl(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
-    values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r)
-    slopes = detection.expectation_derivative_curve(state_a, state_b, scheme, phis, loss_r)
-    points = []
-    for phi, value, slope in zip(phis, values, slopes):
-        if scheme is Scheme.PARITY:
-            variance = max(0.0, 1.0 - value * value)
-        else:
-            variance = max(0.0, value - value * value)
-        if abs(slope) < DERIVATIVE_FLOOR:
-            points.append(SensitivityPoint(phi=float(phi), delta_phi=math.inf, snl=floor))
-        else:
-            points.append(SensitivityPoint(phi=float(phi), delta_phi=math.sqrt(variance) / abs(slope), snl=floor))
-    return points
+    values, slopes = detection._sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
+    if scheme is Scheme.PARITY:
+        variance = np.maximum(0.0, 1.0 - values * values)
+    else:
+        variance = np.maximum(0.0, values - values * values)
+    flat = np.abs(slopes) < DERIVATIVE_FLOOR
+    delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
+    delta_phi[flat] = math.inf
+    return [SensitivityPoint(phi=phi, delta_phi=d, snl=floor) for phi, d in zip(phis.tolist(), delta_phi.tolist())]
 
 
 def _golden_extremum(f: Callable[[float], float], lo: float, hi: float, tol: float = REFINE_TOL) -> float:

@@ -11,7 +11,7 @@ path serves every state kind; the per-kind closed forms live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,40 +77,52 @@ MPS_INDEX = {StateKind.MPS0: 0, StateKind.MPS1: 1, StateKind.MPS2: 2, StateKind.
 
 @dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class SuperposedState:
-    """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays, with a normalization flag."""
+    """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays, with a normalization flag.
+
+    ``normalize=True`` scales the weights to unit norm and sets the flag.
+    """
 
     weights: np.ndarray
     amplitudes: np.ndarray
     normalized: bool = False
+    normalize: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, normalize):
         w, a = _coherent_arrays(self.weights, self.amplitudes)
+        if normalize:
+            w = w * _inverse_norm(_gram(w, a))
+            object.__setattr__(self, "normalized", True)
         w.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "amplitudes", a)
 
 
-def gram_sum(weights, amplitudes) -> float:
-    """sum_ij conj(w_i) w_j <a_i|a_j>, the squared norm of sum_k w_k |a_k>."""
-    w, a = _coherent_arrays(weights, amplitudes)
+def _gram(w: np.ndarray, a: np.ndarray) -> float:
     total = np.conj(w) @ np.exp(_overlap_exponent(a)) @ w
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise ArithmeticError(f"Gram sum not real: {total!r}")
     return float(total.real)
 
 
-def normalization_constant(weights, amplitudes) -> float:
-    """Scale factor that normalizes sum_k w_k |a_k>, (sum_ij conj(w_i) w_j <a_i|a_j>)^(-1/2)."""
-    total = gram_sum(weights, amplitudes)
+def _inverse_norm(total: float) -> float:
     if total < GRAM_DEGENERACY_THRESHOLD:
         raise DegenerateState(f"Gram sum {total:.3e} below {GRAM_DEGENERACY_THRESHOLD:g}")
     return 1.0 / math.sqrt(total)
 
 
+def gram_sum(weights, amplitudes) -> float:
+    """sum_ij conj(w_i) w_j <a_i|a_j>, the squared norm of sum_k w_k |a_k>."""
+    return _gram(*_coherent_arrays(weights, amplitudes))
+
+
+def normalization_constant(weights, amplitudes) -> float:
+    """Scale factor that normalizes sum_k w_k |a_k>, (sum_ij conj(w_i) w_j <a_i|a_j>)^(-1/2)."""
+    return _inverse_norm(gram_sum(weights, amplitudes))
+
+
 def custom_state(weights, amplitudes) -> SuperposedState:
     """Normalized state sum_k w_k |a_k> from explicit weight and amplitude arrays."""
-    w, a = _coherent_arrays(weights, amplitudes)
-    return SuperposedState(w * normalization_constant(w, a), a, normalized=True)
+    return SuperposedState(weights, amplitudes, normalize=True)
 
 
 def make_state(kind: StateKind, alpha: complex) -> SuperposedState:

@@ -99,6 +99,9 @@ def wigner_grid(
         half = default_window(state)
         y1_range = y1_range or (-half, half)
         y2_range = y2_range or (-half, half)
+    for lo, hi in (y1_range, y2_range):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"phase-space range ({lo}, {hi}) must be finite and increasing")
     y1 = np.linspace(y1_range[0], y1_range[1], resolution)
     y2 = np.linspace(y2_range[0], y2_range[1], resolution)
     lam = y1[:, None] + 1j * y2[None, :]

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,115 @@ class TestSpecHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wavelength = 3\n")
         assert run_cli(["signal", "--config", str(cfg)]) == cli.EXIT_INVALID_SPEC
+
+
+# flags that each subcommand does not read, with values other subcommands accept
+UNREAD = {
+    "fwhm": ["--state-a", "--state-b", "--zeta2", "--phi-min", "--phi-max", "--phi-steps"],
+    "wigner": ["--alpha2", "--state-b", "--zeta2", "--scheme", "--phi-min", "--phi-max", "--phi-steps", "--loss-r"],
+    "loss": ["--phi-min", "--phi-max", "--phi-steps", "--loss-r"],
+    "oracle-check": [
+        "--state-a", "--alpha2", "--state-b", "--zeta2", "--scheme", "--phi-min", "--phi-max", "--phi-steps", "--loss-r",
+    ],
+}
+SAMPLE_VALUE = {
+    "--state-a": "mps1", "--alpha2": "9", "--state-b": "cs", "--zeta2": "1", "--scheme": "z",
+    "--phi-min": "0", "--phi-max": "1", "--phi-steps": "4096", "--loss-r": "0.3",
+}
+CHEAP_SPEC = {
+    "fwhm": ["--scheme", "z", "--alpha2-min", "2", "--alpha2-max", "2", "--alpha2-steps", "1"],
+    "wigner": ["--window", "3", "--resolution", "5"],
+    "loss": ["--r-steps", "1"],
+    "oracle-check": ["--quick"],
+}
+
+
+def _no_computation(*args, **kwargs):
+    raise AssertionError("the spec was accepted")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, flags in UNREAD.items() for f in flags])
+    def test_unread_flag_rejected(self, command, flag, form, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        if form == "flag":
+            extra = [flag, SAMPLE_VALUE[flag]]
+        else:
+            cfg = tmp_path / "spec.cfg"
+            cfg.write_text(f"{flag[2:].replace('-', '_')} = {SAMPLE_VALUE[flag]}\n")
+            extra = ["--config", str(cfg)]
+        assert run_cli([command] + CHEAP_SPEC[command] + extra + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert "invalid spec:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,config",
+        [
+            (["signal", "--format", "xml"], None),
+            (["signal", "--phi-steps", "abc"], None),
+            (["signal", "--wavelength", "3"], None),
+            (["signal"], "phi_steps = abc"),
+            (["signal"], "format = xml"),
+            (["oracle-check"], "quick = maybe"),
+            (["oracle-check"], "config = other.cfg"),
+        ],
+    )
+    def test_rejected_before_computation(self, args, config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parse_state", _no_computation)
+        out = tmp_path / "x.csv"
+        if config is not None:
+            cfg = tmp_path / "spec.cfg"
+            cfg.write_text(config + "\n")
+            args = args + ["--config", str(cfg)]
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert "invalid spec:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(
+            "state_a = mps1\nalpha2 = 2\nstate-b = cs\nzeta2 = 2\nphi_min = 0.05\nphi_max = 3.0\n"
+            "phi_steps = 16\nformat = json\n"
+        )
+        flags = [
+            "sensitivity", "--state-a", "mps1", "--alpha2", "2", "--state-b", "cs", "--zeta2", "2",
+            "--phi-min", "0.05", "--phi-max", "3.0", "--phi-steps", "16", "--format", "json",
+        ]
+        a, b = tmp_path / "from_file.json", tmp_path / "from_flags.json"
+        assert run_cli(["sensitivity", "--config", str(cfg), "--out", str(a)]) == 0
+        assert run_cli(flags + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value,rows", [("yes", 2), ("on", 2), ("1", 2), ("false", 1), ("0", 1)])
+    def test_config_switch(self, value, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_grid", lambda quick: [("cs", 2.0, 0.0, 0.3, 0.0)] * (2 if quick else 1))
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(f"quick = {value}\n")
+        out = tmp_path / "oracle.csv"
+        assert run_cli(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == rows
+
+
+def _readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("## CLI")
+    return text[start : text.index("\n## ", start)]
+
+
+class TestReadme:
+    def test_examples_parse(self):
+        block = _readme_cli_section().split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("qlidar ")]
+        assert len(commands) >= len(cli._COMMANDS)
+        parser = cli._build_parser()
+        for tokens in commands:
+            parser.parse_args(tokens[1:])
+
+    def test_flag_table_matches_parser(self):
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", _readme_cli_section(), re.M)
+        listed = {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in rows}
+        assert listed == {name: {"--config", *flags} for name, (_, _, flags) in cli._COMMANDS.items()}
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import binary_probabilities
-from qlidar import detection, fock_oracle
+from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
 from qlidar.states import StateKind, custom_state, make_state, vacuum
@@ -212,6 +212,24 @@ class TestInvariances:
                 with pytest.raises(ValueError) as from_curve:
                     sweep(sa, vacuum(), Scheme.PARITY, [0.0, bad])
                 assert str(from_curve.value) == str(from_config.value)
+
+    @pytest.mark.parametrize("loss_r", [1.5, -0.3, math.nan])
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            detection.expectation_curve,
+            detection.expectation_derivative_curve,
+            metrology.sensitivity_curve,
+            metrology.sample_curve,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_bad_loss_rejected_like_config(self, sweep, loss_r):
+        with pytest.raises(ValueError) as from_config:
+            MziConfig(phi=0.0, loss_r=loss_r)
+        with pytest.raises(ValueError) as from_curve:
+            sweep(make_state(StateKind.CS, 1.0), vacuum(), Scheme.PARITY, [0.0, 1.0], loss_r)
+        assert str(from_curve.value) == str(from_config.value)
 
     def test_scheme_parse(self):
         assert Scheme.parse("PARITY") is Scheme.PARITY

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlidar import metrology as met
+from qlidar import detection, metrology as met
 from qlidar import states
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig
@@ -199,6 +199,24 @@ class TestSensitivity:
         )
         assert math.isinf(point.delta_phi)
         assert math.isinf(point.ratio)
+
+    def test_points_hold_python_floats(self):
+        points = met.sensitivity_curve(make_state(StateKind.ECSS, 1.0), vacuum(), Scheme.PARITY, [0.0, 0.4])
+        assert all(type(v) is float for p in points for v in (p.phi, p.delta_phi, p.snl))
+        assert math.isinf(points[0].delta_phi)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("loss_r", [0.0, 0.3])
+    def test_matches_value_and_slope_curves(self, scheme, loss_r):
+        sa, sb = make_state(StateKind.MPS1, math.sqrt(2.0)), make_state(StateKind.CS, 1.0)
+        grid = np.linspace(-3.0, 3.0, 61)
+        points = met.sensitivity_curve(sa, sb, scheme, grid, loss_r)
+        values = detection.expectation_curve(sa, sb, scheme, grid, loss_r)
+        slopes = detection.expectation_derivative_curve(sa, sb, scheme, grid, loss_r)
+        for point, value, slope in zip(points, values, slopes):
+            variance = max(0.0, 1.0 - value * value) if scheme is Scheme.PARITY else max(0.0, value - value * value)
+            flat = abs(slope) < met.DERIVATIVE_FLOOR
+            assert point.delta_phi == (math.inf if flat else math.sqrt(variance) / abs(slope))
 
     def test_coherent_never_beats_floor(self):
         grid = np.linspace(0.01, math.pi - 0.01, 400)

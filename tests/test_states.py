@@ -106,6 +106,13 @@ class TestNormalization:
         s = make_state(kind, math.sqrt(alpha2))
         assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
+    def test_custom_state_validates_once(self, monkeypatch):
+        calls = []
+        validate = states._coherent_arrays
+        monkeypatch.setattr(states, "_coherent_arrays", lambda w, a: calls.append(1) or validate(w, a))
+        make_state(StateKind.MPS1, 1.0)
+        assert len(calls) == 1
+
     def test_mps0_at_zero(self):
         assert normalization_constant([1j**0] * 4, [0.0] * 4) == pytest.approx(0.25, abs=1e-15)
 

@@ -74,6 +74,14 @@ class TestWignerGrid:
         assert grid.integral == pytest.approx(1.0, abs=1e-3)
         assert grid.values.shape == (101, 101)
 
+    @pytest.mark.parametrize(
+        "y1_range,y2_range",
+        [((-math.inf, math.inf), (-1, 1)), ((-1, 1), (math.nan, 1)), ((1, -1), (-1, 1)), ((-1, 1), (2, 2))],
+    )
+    def test_bad_ranges_rejected(self, y1_range, y2_range):
+        with pytest.raises(ValueError):
+            wigner.wigner_grid(make_state(StateKind.CS, 1), y1_range, y2_range, 5)
+
 
 class TestNegativitySummary:
     def test_coherent_no_negativity(self):
