@@ -39,24 +39,32 @@ class InvalidSpec(ValueError):
     """A sweep specification failed validation; message names the field."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+# 17 significant digits round-trip every float; inf, -inf and nan (of either sign) spell themselves
+_fmt = "{:.17g}".format
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str) -> None:
+def _csv_cells(column) -> list[str]:
+    if not isinstance(column, np.ndarray):
+        return [x if isinstance(x, str) else _fmt(x) for x in column]
+    # each distinct bit pattern is formatted once; bits, not values, keep -0 apart from 0
+    bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    return text[index].tolist()
+
+
+def _json_cells(column) -> list:
+    # JSON has no inf or nan, so such a cell carries its CSV spelling as a string
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    return [x if isinstance(x, str) or math.isfinite(x) else _fmt(x) for x in cells]
+
+
+def _write_rows(path: str | None, header: list[str], columns: list, fmt: str) -> None:
+    """Write equal-length columns (float64 arrays, or sequences of str and float) as CSV or JSON rows."""
     if fmt == "json":
-        text = json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+        rows = list(zip(*map(_json_cells, columns)))
+        text = json.dumps({"columns": header, "rows": rows}, indent=2, allow_nan=False) + "\n"
     else:
-        text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+        text = "\n".join([",".join(header)] + list(map(",".join, zip(*map(_csv_cells, columns))))) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -113,8 +121,7 @@ def cmd_signal(spec) -> int:
         header = ["phi", "value"]
     else:
         header = ["phi"] + [f"value_{name}" for name in names]
-    rows = [[float(p)] + [float(col[i]) for col in columns] for i, p in enumerate(phis)]
-    _write_rows(spec.out, header, rows, spec.format)
+    _write_rows(spec.out, header, [phis] + columns, spec.format)
     return EXIT_OK
 
 
@@ -126,7 +133,7 @@ def cmd_sensitivity(spec) -> int:
     loss_r = _check_loss(spec.loss_r)
     points = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
     rows = [[p.phi, p.delta_phi, p.snl, p.ratio] for p in points]
-    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], rows, spec.format)
+    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], list(zip(*rows)), spec.format)
     return EXIT_OK
 
 
@@ -152,7 +159,7 @@ def cmd_fwhm(spec) -> int:
             row.append(metrology.fwhm(curve))
         rows.append(row)
     header = ["x"] + [f"fwhm_{name}" for name in SIX_STATES]
-    _write_rows(spec.out, header, rows, spec.format)
+    _write_rows(spec.out, header, list(zip(*rows)), spec.format)
     return EXIT_OK
 
 
@@ -164,11 +171,9 @@ def cmd_wigner(spec) -> int:
     if not 0 < half < math.inf:
         raise InvalidSpec("window must be positive and finite")
     grid = wigner.wigner_grid(state, (-half, half), (-half, half), spec.resolution)
-    rows = []
-    for i, y1 in enumerate(grid.y1_axis):
-        for j, y2 in enumerate(grid.y2_axis):
-            rows.append([float(y1), float(y2), float(grid.values[i, j])])
-    _write_rows(spec.out, ["y1", "y2", "w"], rows, spec.format)
+    r1, r2 = grid.values.shape
+    columns = [np.repeat(grid.y1_axis, r2), np.tile(grid.y2_axis, r1), grid.values.ravel()]
+    _write_rows(spec.out, ["y1", "y2", "w"], columns, spec.format)
     return EXIT_OK
 
 
@@ -181,8 +186,8 @@ def cmd_loss(spec) -> int:
     state_b = _parse_state(spec.state_b, energy=spec.zeta2)
     scheme = Scheme.parse(spec.scheme)
     r_grid = np.linspace(spec.r_min, spec.r_max, spec.r_steps)
-    rows = [list(item) for item in metrology.loss_sweep(state_a, state_b, spec.phi, scheme, r_grid, spec.metric)]
-    _write_rows(spec.out, ["loss_r", spec.metric], rows, spec.format)
+    rows = metrology.loss_sweep(state_a, state_b, spec.phi, scheme, r_grid, spec.metric)
+    _write_rows(spec.out, ["loss_r", spec.metric], list(zip(*rows)), spec.format)
     return EXIT_OK
 
 
@@ -228,7 +233,7 @@ def cmd_oracle_check(spec) -> int:
             worst = (local, (name, a2, z2, phi, r))
     if spec.out:
         header = ["state", "alpha2", "zeta2", "phi", "loss_r", "d_parity", "d_zero", "d_pn"]
-        _write_rows(spec.out, header, rows, spec.format)
+        _write_rows(spec.out, header, list(zip(*rows)), spec.format)
     print(f"checked {len(rows)} grid points; worst |engine - oracle| = {_fmt(worst[0])} at {worst[1]}")
     if worst[0] > ORACLE_TOLERANCE:
         print(f"FAIL: disagreement exceeds {ORACLE_TOLERANCE:g}")
@@ -300,6 +305,20 @@ _COMMANDS = {
 }
 
 
+# flags a subcommand reads in one mode only: command -> (flag, mode option, the mode that reads it)
+_MODE_FLAGS = {"fwhm": ("--alpha2", "sweep", "zeta2"), "loss": ("--phi", "metric", "ratio")}
+
+
+def _check_mode_flags(spec, argv: list[str]) -> None:
+    if spec.command not in _MODE_FLAGS:
+        return
+    flag, option, mode = _MODE_FLAGS[spec.command]
+    given = getattr(spec, option)
+    # an option-like token is never taken as another flag's value, so a token naming the flag sets it
+    if given != mode and any(arg == flag or arg.startswith(flag + "=") for arg in argv):
+        raise InvalidSpec(f"{flag} is read only with --{option} {mode}, not with --{option} {given}")
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 like any invalid spec; exit 2 means oracle disagreement
     def error(self, message):
@@ -347,7 +366,9 @@ def main(argv=None) -> int:
         spec = parser.parse_args(argv)
         if spec.config:
             # file entries go before the command line's flags, so the flags win
-            spec = parser.parse_args(argv[:1] + _config_flags(spec.config) + argv[1:])
+            argv = argv[:1] + _config_flags(spec.config) + argv[1:]
+            spec = parser.parse_args(argv)
+        _check_mode_flags(spec, argv)
         return _COMMANDS[spec.command][0](spec)
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
 """Reference quantities that only the tests need.
 
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
-signal, and the dense triangular-basis form of the Fock splitter.
+signal, the dense triangular-basis form of the Fock splitter, and the
+cell-by-cell row writer that the CLI's column writer must reproduce.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -65,3 +69,24 @@ def beam_splitter_unitary(cutoff: int) -> np.ndarray:
         start = total * (total + 1) // 2
         u[start : start + total + 1, start : start + total + 1] = fo._bs_block(total)
     return u
+
+
+def reference_fmt(x) -> str:
+    """One CLI output cell, formatted on its own."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.17g}"
+
+
+def reference_rows_text(header: list[str], rows: list[list], fmt: str) -> str:
+    """The CLI output document for rows of Python cells, built row by row."""
+    if fmt == "json":
+        return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+    return "\n".join([",".join(header)] + [",".join(reference_fmt(v) for v in row) for row in rows]) + "\n"

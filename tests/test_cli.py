@@ -116,6 +116,21 @@ class TestSensitivity:
         assert rows[0][1] == "inf"
         assert rows[0][3] == "inf"
 
+    def test_stationary_point_json_is_strict(self, tmp_path):
+        out = tmp_path / "sens0.json"
+        code = run_cli(
+            [
+                "sensitivity", "--state-a", "ecss", "--alpha2", "2",
+                "--phi-min", "0", "--phi-max", "1", "--phi-steps", "2",
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        assert payload["rows"][0][1] == "inf"
+        assert payload["rows"][0][3] == "inf"
+        assert all(isinstance(v, float) for v in payload["rows"][1])
+
     def test_supersensitive_pair(self, tmp_path):
         out = tmp_path / "mps1.csv"
         code = run_cli(
@@ -312,6 +327,29 @@ class TestUsageErrors:
         assert "invalid spec:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "args,flag,value,mode",
+        [
+            (["fwhm"] + CHEAP_SPEC["fwhm"], "--alpha2", "9", "--sweep alpha2"),
+            (["fwhm", "--sweep", "alpha2"] + CHEAP_SPEC["fwhm"], "--alpha2", "2", "--sweep alpha2"),
+            (["loss", "--metric", "fwhm", "--r-steps", "1"], "--phi", "1.0", "--metric fwhm"),
+        ],
+    )
+    def test_mode_ignored_flag_rejected(self, args, flag, value, mode, form, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parse_state", _no_computation)
+        out = tmp_path / "x.csv"
+        if form == "flag":
+            extra = [f"{flag}={value}"]
+        else:
+            cfg = tmp_path / "spec.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            extra = ["--config", str(cfg)]
+        assert run_cli(args + extra + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and flag in err and mode in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args,config",
         [
@@ -379,6 +417,63 @@ class TestReadme:
         rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", _readme_cli_section(), re.M)
         listed = {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in rows}
         assert listed == {name: {"--config", *flags} for name, (_, _, flags) in cli._COMMANDS.items()}
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRoundTrip:
+    """Every CSV cell parses back to the library's float, bit for bit."""
+
+    def test_wigner_rows_are_y1_major(self, tmp_path):
+        from qlidar import wigner
+        from qlidar.states import StateKind, make_state
+
+        out = tmp_path / "wig.csv"
+        args = ["wigner", "--state-a", "mps1", "--alpha-re", "1", "--alpha-im", "0.5", "--window", "3"]
+        assert run_cli(args + ["--resolution", "21", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        cells = np.array([[float(v) for v in row] for row in rows])
+        grid = wigner.wigner_grid(make_state(StateKind.MPS1, complex(1, 0.5)), (-3, 3), (-3, 3), 21)
+        assert np.array_equal(_bits(cells[:, 0].reshape(21, 21)), _bits(np.repeat(grid.y1_axis[:, None], 21, 1)))
+        assert np.array_equal(_bits(cells[:, 1].reshape(21, 21)), _bits(np.tile(grid.y2_axis, (21, 1))))
+        assert np.array_equal(_bits(cells[:, 2].reshape(21, 21)), _bits(grid.values))
+        assert not np.array_equal(grid.values, grid.values.T)
+
+    def test_signal_columns(self, tmp_path):
+        from qlidar import detection
+        from qlidar.detection import Scheme
+        from qlidar.states import StateKind, make_state, vacuum
+
+        out = tmp_path / "sig.csv"
+        args = ["signal", "--state-a", "cs,ecss,mps1", "--alpha2", "3", "--scheme", "z", "--loss-r", "0.2"]
+        assert run_cli(args + ["--phi-steps", "33", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        cells = np.array([[float(v) for v in row] for row in rows])
+        phis = np.linspace(-math.pi, math.pi, 33)
+        assert np.array_equal(_bits(cells[:, 0]), _bits(phis))
+        for col, kind in enumerate((StateKind.CS, StateKind.ECSS, StateKind.MPS1), 1):
+            assert header[col] == f"value_{kind.value}"
+            curve = detection.expectation_curve(make_state(kind, math.sqrt(3.0)), vacuum(), Scheme.Z, phis, 0.2)
+            assert np.array_equal(_bits(cells[:, col]), _bits(curve))
+
+    def test_sensitivity_inf_rows(self, tmp_path):
+        from qlidar import metrology
+        from qlidar.detection import Scheme
+        from qlidar.states import StateKind, make_state, vacuum
+
+        out = tmp_path / "sens.csv"
+        args = ["sensitivity", "--state-a", "ecss", "--alpha2", "2", "--phi-min", "0", "--phi-max", str(math.pi)]
+        assert run_cli(args + ["--phi-steps", "5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        cells = np.array([[float(v) for v in row] for row in rows])
+        points = metrology.sensitivity_curve(
+            make_state(StateKind.ECSS, math.sqrt(2.0)), vacuum(), Scheme.PARITY, np.linspace(0, math.pi, 5)
+        )
+        expected = np.array([[p.phi, p.delta_phi, p.snl, p.ratio] for p in points])
+        assert np.array_equal(_bits(cells), _bits(expected))
+        assert np.isinf(cells[:, 1]).any() and np.isfinite(cells[:, 1]).any()
 
 
 class TestDeterminism:

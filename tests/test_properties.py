@@ -1,16 +1,23 @@
 """Property-based checks of invariants the fixed regression grids can miss."""
 
+import contextlib
+import io
+import json
 import math
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from qlidar import detection, fock_oracle, metrology, wigner
+from qlidar import cli, detection, fock_oracle, metrology, wigner
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
 from qlidar.states import StateKind, density_operator, make_state, vacuum
+
+from helpers import reference_fmt, reference_rows_text
 
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 
@@ -96,3 +103,59 @@ def test_wigner_integral_equals_trace(kind, alpha2, zeta2, phi, loss_r):
     for op in (density_operator(sa), reduced):
         # Gaussian lobes of width 1/2 on a 0.1-0.2 step: the grid sum is exact to rounding
         assert abs(wigner.wigner_grid(op, resolution=101).integral - op.trace()) < 1e-9
+
+
+# cells whose spelling or bit pattern a value-keyed formatter could confuse
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, _NAN_PAYLOAD, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+@st.composite
+def column_tables(draw, finite=False):
+    """Header and columns: float64 arrays drawn from a small pool (so values repeat), maybe after a str column."""
+    values = st.floats(width=64, allow_nan=not finite, allow_infinity=not finite)
+    specials = [x for x in SPECIAL_FLOATS if math.isfinite(x)] if finite else SPECIAL_FLOATS
+    pool = draw(st.lists(st.one_of(values, st.sampled_from(specials)), min_size=1, max_size=12))
+    rows = draw(st.integers(0, 30))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows)
+    columns = [np.array([pool[i] for i in draw(picks)]) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        columns.insert(0, draw(st.lists(st.sampled_from(["cs", "mps1", "ecss"]), min_size=rows, max_size=rows)))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+def _written(header, columns, fmt) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_rows(None, header, columns, fmt)
+    return buf.getvalue()
+
+
+def _cells(columns) -> list[list]:
+    return [[c if isinstance(c, str) else float(c) for c in row] for row in zip(*columns)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(column_tables())
+def test_column_writer_matches_row_reference_csv(table):
+    header, columns = table
+    assert _written(header, columns, "csv") == reference_rows_text(header, _cells(columns), "csv")
+
+
+@settings(deadline=None, max_examples=200)
+@given(column_tables(finite=True))
+def test_column_writer_matches_row_reference_json(table):
+    header, columns = table
+    assert _written(header, columns, "json") == reference_rows_text(header, _cells(columns), "json")
+
+
+@settings(deadline=None, max_examples=100)
+@given(column_tables())
+def test_json_nonfinite_cells_carry_csv_spelling(table):
+    header, columns = table
+    text = _written(header, columns, "json")
+    rows = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))["rows"]
+    cells = _cells(columns)
+    spelled = [[c if isinstance(c, str) or math.isfinite(c) else reference_fmt(c) for c in row] for row in cells]
+    assert rows == spelled
+    assert text == reference_rows_text(header, spelled, "json")
