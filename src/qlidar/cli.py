@@ -333,8 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
             name, help=summary, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.add_argument("--config", help="key=value spec file; keys are flag names, flags override it")
+        mode_flag, option, mode = _MODE_FLAGS.get(name, (None, None, None))
         for flag in flags:
-            p.add_argument(flag, **_OPTIONS[flag])
+            options = _OPTIONS[flag]
+            if flag == mode_flag:
+                options = dict(options, help=f"{options['help']}; read only with --{option} {mode}")
+            p.add_argument(flag, **options)
     return parser
 
 

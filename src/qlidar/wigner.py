@@ -7,8 +7,14 @@ for the dyad |k><b| between coherent amplitudes the distribution is
     W(lam) = (2/pi) exp(-2(lam - k)(conj(lam) - conj(b))) <b|k>,
 
 which integrates to <b|k> and reduces to the familiar Gaussian for k = b.
-Dyad sums are evaluated pointwise, one (i, j) pair at a time; negativity
-anywhere certifies a nonclassical state.
+With lam = y1 + i y2 the exponent splits into a y1 part and a y2 part
+(Cahill & Glauber, Phys. Rev. 177, 1882, 1969), so a grid is one sum over
+the pairs with C_ij != 0 of an outer product of two thin factor arrays.
+Completing the square gives each factor the real part -2(y - m)^2 about the
+pair midpoint m = (k + b)/2, so nothing overflows at any amplitude.  A grid
+must also resolve the fringes: the y1 factor oscillates at 2|Im(k - b)| and
+the y2 factor at 2|Re(k - b)|, and a step at or above the Nyquist limit on
+either axis is rejected.  Negativity anywhere certifies a nonclassical state.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CoherentOperator, SuperposedState, density_operator
+from .states import CoherentOperator, SuperposedState, _overlap_exponent, density_operator
 
 WIGNER_BOUND = 2.0 / math.pi
 BOUND_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-12
+NEGLIGIBLE_COEFF = 1e-9  # pairs at or below this |C_ij| need no fringe sampling
 
 
 @dataclass(frozen=True)
@@ -54,22 +61,16 @@ def _operator(state) -> CoherentOperator:
     raise TypeError("expected a SuperposedState or CoherentOperator")
 
 
-def _evaluate(op: CoherentOperator, lam: np.ndarray) -> np.ndarray:
-    total = np.zeros(lam.shape, dtype=complex)
-    amps = op.amplitudes.tolist()
-    for i, b in enumerate(amps):
-        for j, k in enumerate(amps):
-            c = complex(op.coeffs[i, j])
-            if c == 0:
-                continue
-            exponent = (
-                -2.0 * lam * np.conj(lam)
-                + 2.0 * np.conj(lam) * k
-                + 2.0 * lam * np.conj(b)
-                - 0.5 * (abs(k) ** 2 + abs(b) ** 2)
-                - np.conj(b) * k
-            )
-            total += c * np.exp(exponent)
+def _evaluate(op: CoherentOperator, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    i, j = np.nonzero(op.coeffs)
+    b, k = op.amplitudes[i], op.amplitudes[j]
+    m, d = 0.5 * (k + b), k - b
+    # pair term c exp(f(y1) + g(y2)): the real parts -2(y - m)^2 complete the square, so no factor exceeds 1
+    phase = np.imag(_overlap_exponent(op.amplitudes)[i, j] - 2.0 * k * np.conj(b))
+    f = np.exp(-2.0 * (y1[:, None] - m.real) ** 2 + 1j * (2.0 * d.imag * y1[:, None] + phase))
+    g = np.exp(-2.0 * (y2[:, None] - m.imag) ** 2 - 2j * d.real * y2[:, None])
+    # einsum without optimize makes no BLAS call, so values do not depend on the BLAS thread count
+    total = np.einsum("ip,jp->ij", f * op.coeffs[i, j], g)
     residue = float(np.max(np.abs(total.imag)))
     if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(total.real)))):
         raise ArithmeticError(f"Wigner values have imaginary residue {residue:.3e}")
@@ -78,7 +79,22 @@ def _evaluate(op: CoherentOperator, lam: np.ndarray) -> np.ndarray:
 
 def wigner_point(state, lam: complex) -> float:
     """W at a single phase-space point lam = y1 + i y2."""
-    return float(_evaluate(_operator(state), np.array(complex(lam))))
+    lam = complex(lam)
+    return float(_evaluate(_operator(state), np.array([lam.real]), np.array([lam.imag]))[0, 0])
+
+
+def _min_resolution(op: CoherentOperator, y1_span: float, y2_span: float) -> int:
+    """Fewest points per axis whose step lies below the Nyquist limit pi/omega of every fringe.
+
+    The y1 factor of pair (b, k) oscillates at omega = 2|Im(k - b)| and the y2
+    factor at 2|Re(k - b)|.  Pairs with |C_ij| <= NEGLIGIBLE_COEFF are left out:
+    each pair term is bounded by |C_ij| in modulus, so they move no value by
+    more than (2/pi) NEGLIGIBLE_COEFF.
+    """
+    d = (op.amplitudes[None, :] - op.amplitudes[:, None])[np.abs(op.coeffs) > NEGLIGIBLE_COEFF]
+    omegas = 2.0 * np.max(np.abs(d.imag), initial=0.0), 2.0 * np.max(np.abs(d.real), initial=0.0)
+    # step = span / (R - 1) < pi / omega holds first at R = floor(span omega / pi) + 2
+    return max(math.floor(span * omega / math.pi) + 2 for span, omega in zip((y1_span, y2_span), omegas))
 
 
 def default_window(state) -> float:
@@ -92,20 +108,26 @@ def wigner_grid(
     y2_range: tuple[float, float] | None = None,
     resolution: int = 201,
 ) -> WignerGrid:
-    """Evaluate W on a uniform grid (default window covers all lobes)."""
+    """Evaluate W on a uniform grid (default window covers all lobes); ValueError if it undersamples a fringe."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    op = _operator(state)
     if y1_range is None or y2_range is None:
-        half = default_window(state)
+        half = default_window(op)
         y1_range = y1_range or (-half, half)
         y2_range = y2_range or (-half, half)
     for lo, hi in (y1_range, y2_range):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"phase-space range ({lo}, {hi}) must be finite and increasing")
+    needed = _min_resolution(op, y1_range[1] - y1_range[0], y2_range[1] - y2_range[0])
+    if resolution < needed:
+        raise ValueError(
+            f"resolution {resolution} undersamples the interference fringes on this window; "
+            f"the smallest resolution that resolves them is {needed}"
+        )
     y1 = np.linspace(y1_range[0], y1_range[1], resolution)
     y2 = np.linspace(y2_range[0], y2_range[1], resolution)
-    lam = y1[:, None] + 1j * y2[None, :]
-    values = _evaluate(_operator(state), lam)
+    values = _evaluate(op, y1, y2)
     peak = float(np.max(np.abs(values)))
     if peak > WIGNER_BOUND + BOUND_TOL:
         raise ArithmeticError(f"Wigner magnitude {peak:.6f} exceeds 2/pi")

@@ -1,8 +1,9 @@
 """Reference quantities that only the tests need.
 
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
-signal, the dense triangular-basis form of the Fock splitter, and the
-cell-by-cell row writer that the CLI's column writer must reproduce.
+signal, the dense triangular-basis form of the Fock splitter, the
+cell-by-cell row writer that the CLI's column writer must reproduce, and the
+pointwise Wigner sum that the separable grid kernel must reproduce.
 """
 
 import json
@@ -13,6 +14,7 @@ import numpy as np
 from qlidar import detection
 from qlidar import fock_oracle as fo
 from qlidar.interferometer import FourModeOutput
+from qlidar.wigner import IMAG_RESIDUE_TOL
 
 
 def _output_gram(out: FourModeOutput) -> np.ndarray:
@@ -90,3 +92,27 @@ def reference_rows_text(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
     return "\n".join([",".join(header)] + [",".join(reference_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def reference_wigner(op, lam) -> np.ndarray:
+    """W at each point of the array lam = y1 + i y2, one complex exponential per point and pair."""
+    lam = np.asarray(lam, dtype=complex)
+    total = np.zeros(lam.shape, dtype=complex)
+    amps = op.amplitudes.tolist()
+    for i, b in enumerate(amps):
+        for j, k in enumerate(amps):
+            c = complex(op.coeffs[i, j])
+            if c == 0:
+                continue
+            exponent = (
+                -2.0 * lam * np.conj(lam)
+                + 2.0 * np.conj(lam) * k
+                + 2.0 * lam * np.conj(b)
+                - 0.5 * (abs(k) ** 2 + abs(b) ** 2)
+                - np.conj(b) * k
+            )
+            total += c * np.exp(exponent)
+    residue = float(np.max(np.abs(total.imag)))
+    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(total.real)))):
+        raise ArithmeticError(f"Wigner values have imaginary residue {residue:.3e}")
+    return (2.0 / math.pi) * total.real

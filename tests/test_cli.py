@@ -202,6 +202,20 @@ class TestWigner:
         assert len(rows) == 41 * 41
         assert min(float(r[2]) for r in rows) >= -1e-9
 
+    def test_undersampled_grid_rejected(self, tmp_path, capsys):
+        # components 20 apart on the default window of +-15: fringe period 0.157 against a 0.15 step
+        out = tmp_path / "wig.csv"
+        args = ["wigner", "--state-a", "mps1", "--alpha-re", "10", "--alpha-im", "0"]
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec: resolution 201 undersamples") and "resolution that resolves them is 383" in err
+        assert not out.exists()
+        assert run_cli(args + ["--resolution", "801", "--out", str(out)]) == 0
+        cells = np.loadtxt(out, delimiter=",", skiprows=1)
+        y1, y2 = np.unique(cells[:, 0]), np.unique(cells[:, 1])
+        assert len(y1) == len(y2) == 801
+        assert np.sum(cells[:, 2]) * (y1[1] - y1[0]) * (y2[1] - y2[0]) == pytest.approx(1.0, abs=1e-3)
+
 
 class TestLoss:
     def test_zero_loss_row_matches_lossless(self, tmp_path):
@@ -398,6 +412,22 @@ class TestUsageErrors:
         assert len(read_csv(out)[1]) == rows
 
 
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command,entry",
+        [
+            ("fwhm", "--alpha2 ALPHA2 |alpha|^2 of the first input; read only with --sweep zeta2 (default: 2.0)"),
+            ("loss", "--phi PHI fixed phase for the ratio metric; read only with --metric ratio (default: 0.02)"),
+            ("signal", "--alpha2 ALPHA2 |alpha|^2 of the first input (default: 2.0)"),
+        ],
+    )
+    def test_mode_flag_help_names_its_mode(self, command, entry, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        assert entry in " ".join(capsys.readouterr().out.split())
+
+
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = text.index("## CLI")
@@ -493,15 +523,27 @@ class TestDeterminism:
         assert run_cli(case + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_wigner_independent_of_blas_threads(self):
+        # the grid kernel makes no BLAS call, so a threaded BLAS cannot reorder its sums
+        outputs = []
+        for threads in ("1", "2"):
+            env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            argv = [sys.executable, "-m", "qlidar.cli", "wigner", "--state-a", "mps1", "--resolution", "61"]
+            outputs.append(subprocess.run(argv, capture_output=True, env=env, check=True).stdout)
+        assert outputs[0] == outputs[1] and outputs[0].startswith(b"y1,y2,w\n")
+
+
+def _child_env(**extra) -> dict:
+    # the child finds the package where this process imported it, installed or not
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **extra)
+
 
 def test_console_entry_point():
-    # the child finds the package where this process imported it, installed or not
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "qlidar.cli", "signal", "--state-a", "cs", "--phi-steps", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("phi,value")

@@ -1,5 +1,6 @@
 """Property-based checks of invariants the fixed regression grids can miss."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
 from qlidar.states import StateKind, density_operator, make_state, vacuum
 
-from helpers import reference_fmt, reference_rows_text
+from helpers import reference_fmt, reference_rows_text, reference_wigner
 
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 
@@ -103,6 +104,35 @@ def test_wigner_integral_equals_trace(kind, alpha2, zeta2, phi, loss_r):
     for op in (density_operator(sa), reduced):
         # Gaussian lobes of width 1/2 on a 0.1-0.2 step: the grid sum is exact to rounding
         assert abs(wigner.wigner_grid(op, resolution=101).integral - op.trace()) < 1e-9
+
+
+@st.composite
+def wigner_grids(draw):
+    """An operator with unequal y1 and y2 windows and a resolution that passes the sampling guard.
+
+    The operator is a pure state up to |alpha| = 6 or the reduced port-a operator
+    of two multi-photonic inputs (K = 16 amplitudes).
+    """
+    if draw(st.booleans()):
+        alpha = math.sqrt(draw(st.floats(0.1, 36.0))) * cmath.exp(1j * draw(phis))
+        op = density_operator(make_state(draw(kinds), alpha))
+    else:
+        sa, sb = (make_state(draw(st.sampled_from(KINDS[2:])), math.sqrt(draw(alpha2s))) for _ in range(2))
+        op = detection.reduced_port_a(propagate(sa, sb, MziConfig(phi=draw(phis), loss_r=draw(losses))))
+    half = wigner.default_window(op)
+    y1_range = (-half, half * draw(st.floats(0.2, 0.9)))
+    y2_range = (-half * draw(st.floats(0.2, 0.9)), half)
+    floor = wigner._min_resolution(op, y1_range[1] - y1_range[0], y2_range[1] - y2_range[0])
+    return op, y1_range, y2_range, max(floor, 8) + draw(st.integers(0, 16))
+
+
+@PROPERTY_SETTINGS
+@given(wigner_grids())
+def test_wigner_grid_matches_pointwise_reference(case):
+    op, y1_range, y2_range, resolution = case
+    grid = wigner.wigner_grid(op, y1_range, y2_range, resolution)
+    lam = grid.y1_axis[:, None] + 1j * grid.y2_axis[None, :]
+    assert np.max(np.abs(grid.values - reference_wigner(op, lam))) <= 1e-13 * np.sum(np.abs(op.coeffs))
 
 
 # cells whose spelling or bit pattern a value-keyed formatter could confuse

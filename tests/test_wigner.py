@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import scipy.linalg
 
 from qlidar import detection, fock_oracle, wigner
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import StateKind, make_state, vacuum
+from qlidar.states import CoherentOperator, StateKind, density_operator, make_state, vacuum
+
+from helpers import reference_wigner
 
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 ALPHA = 1.0 + 1.0j  # x1 = x2 = 1
@@ -81,6 +84,53 @@ class TestWignerGrid:
     def test_bad_ranges_rejected(self, y1_range, y2_range):
         with pytest.raises(ValueError):
             wigner.wigner_grid(make_state(StateKind.CS, 1), y1_range, y2_range, 5)
+
+
+class TestSamplingGuard:
+    """Each axis step must stay below the Nyquist limit of the fastest non-negligible fringe."""
+
+    def test_undersampled_large_cat_rejected(self):
+        # components 20 apart on the default window of +-15: fringe period 0.157 against a 0.15 step
+        state = make_state(StateKind.MPS1, 10.0)
+        with pytest.raises(ValueError, match="smallest resolution that resolves them is 383"):
+            wigner.wigner_grid(state)
+        with pytest.raises(ValueError, match="is 383"):
+            wigner.wigner_grid(state, resolution=382)
+        assert wigner.wigner_grid(state, resolution=383).integral == pytest.approx(1.0, abs=1e-3)
+
+    def test_resolved_large_cat_integrates_to_one(self):
+        grid = wigner.wigner_grid(make_state(StateKind.MPS1, 10.0), resolution=801)
+        assert grid.integral == pytest.approx(1.0, abs=1e-3)
+
+    def test_each_axis_has_its_own_limit(self):
+        # components +-5i differ along y2 only, so their fringes run along y1 at angular frequency 20
+        state = make_state(StateKind.ECSS, 5.0)
+        wigner.wigner_grid(state, (-1, 1), (-8, 8), resolution=14)
+        with pytest.raises(ValueError, match="is 103"):
+            wigner.wigner_grid(state, (-8, 8), (-1, 1), resolution=14)
+
+    def test_negligible_coefficients_are_ignored(self):
+        amps = np.array([10.0, -10.0])
+        tiny = wigner.NEGLIGIBLE_COEFF
+        op = CoherentOperator(np.array([[0.5, tiny], [tiny, 0.5]], dtype=complex), amps)
+        assert wigner.wigner_grid(op, resolution=201).integral == pytest.approx(1.0, abs=1e-3)
+        op = CoherentOperator(np.array([[0.5, 2 * tiny], [2 * tiny, 0.5]], dtype=complex), amps)
+        with pytest.raises(ValueError, match="undersamples"):
+            wigner.wigner_grid(op, resolution=201)
+
+    def test_large_amplitude_stays_finite(self):
+        # |alpha| = 25 out to |y| = 10: a factor exp(-2 y^2 + 4 y Im k) that skips completing the square overflows
+        state = make_state(StateKind.MPS3, 25 * cmath.exp(0.3j))
+        op = density_operator(state)
+        grid = wigner.wigner_grid(state, (-10, 10), (-9.5, 10.5), resolution=611)
+        assert np.isfinite(grid.values).all()
+        assert float(np.max(np.abs(grid.values))) <= wigner.WIGNER_BOUND + wigner.BOUND_TOL
+        assert float(np.min(grid.values)) < -0.5
+        rng = np.random.default_rng(5)
+        i, j = rng.integers(611, size=(2, 40))
+        lam = grid.y1_axis[i] + 1j * grid.y2_axis[j]
+        tol = 1e-13 * float(np.sum(np.abs(op.coeffs)))
+        assert np.max(np.abs(grid.values[i, j] - reference_wigner(op, lam))) <= tol
 
 
 class TestNegativitySummary:
