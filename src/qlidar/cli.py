@@ -8,7 +8,7 @@ placed before the command line's own, so flags win; identical specs produce
 byte-identical output files.
 
 Exit codes: 0 success, 1 invalid spec or usage error, 2 oracle disagreement,
-3 I/O failure.
+3 I/O failure, 4 numerical limit (a probability, residue or bound check failed).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
 EXIT_ORACLE_MISMATCH = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -165,8 +166,6 @@ def cmd_fwhm(spec) -> int:
 
 def cmd_wigner(spec) -> int:
     state = _parse_state(spec.state_a, complex(spec.alpha_re, spec.alpha_im))
-    if spec.resolution < 2:
-        raise InvalidSpec("resolution must be at least 2")
     half = spec.window if spec.window is not None else wigner.default_window(state)
     if not 0 < half < math.inf:
         raise InvalidSpec("window must be positive and finite")
@@ -380,6 +379,9 @@ def main(argv=None) -> int:
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        print(f"numerical limit: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

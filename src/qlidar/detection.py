@@ -79,21 +79,22 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     """
     aa = np.abs(a) ** 2
     gauss = -0.5 * (aa[:, None] + aa[None, :])
-    z = np.conj(a)[:, None] * a[None, :]
-    nz = z != 0
-    log_z = np.log(z[nz])
-    probs = np.empty(cutoff + 1)
-    for n in range(cutoff + 1):
-        if n == 0:
-            port = np.exp(gauss)
-        else:
-            port = np.zeros_like(z)
-            port[nz] = np.exp(gauss[nz] + n * log_z - math.lgamma(n + 1))
-        val = _real_part(np.conj(w) @ (port * rest) @ w, f"P({n})")
-        if val < NEGATIVE_PROBABILITY_TOL:
-            raise NegativeProbability(f"P({n}) = {val:.3e}")
-        probs[n] = min(max(val, 0.0), 1.0)
-    return probs
+    vals = np.empty(cutoff + 1, dtype=complex)
+    vals[0] = np.conj(w) @ (np.exp(gauss) * rest) @ w
+    if cutoff > 0:
+        z = np.conj(a)[:, None] * a[None, :]
+        nz = z != 0
+        ns = np.arange(1, cutoff + 1)[:, None]
+        log_factorial = np.array(list(map(math.lgamma, range(2, cutoff + 2))))[:, None]
+        port = np.zeros((cutoff,) + z.shape, dtype=complex)
+        port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
+        vals[1:] = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
+    real = vals.real
+    bad = (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real))) | (real < NEGATIVE_PROBABILITY_TOL)
+    if np.count_nonzero(bad):
+        n = int(np.argmax(bad))  # the first offending photon number
+        raise NegativeProbability(f"P({n}) = {_real_part(vals[n], f'P({n})'):.3e}")
+    return real.clip(0.0, 1.0)
 
 
 def photon_probability(out: FourModeOutput, n: int) -> float:

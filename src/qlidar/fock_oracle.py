@@ -12,9 +12,13 @@ and applies loss as binomial thinning of the port-a count.
 :func:`simulate_density` keeps the per-arm single-mode Kraus channel on an
 explicit density matrix as an independent cross-check of that identity.
 
-Beam-splitter blocks are built from exact integer coefficients of
-(1-x)^n (1+x)^(N-n) (iterated multiply/divide, no matrix exponentiation), so
-each block stays unitary to machine precision even at large photon number.
+The N-photon splitter block is i^j R[j, n] i^n with R a real Kravchuk matrix
+(Campos, Saleh & Teich, Phys. Rev. A 40, 1371, 1989).  R is built from exact
+integer coefficients of (1-x)^n (1+x)^(N-n) (iterated multiply/divide, no
+matrix exponentiation), so each block stays unitary to machine precision even
+at large photon number.  Only R is cached; the splitter gathers the triangle
+into shell-major order once, applies the i^n phases, and does one real matmul
+per shell on the (re, im) pairs of a contiguous slice.
 """
 
 from __future__ import annotations
@@ -94,15 +98,16 @@ def default_cutoff(state_a: SuperposedState, state_b: SuperposedState) -> int:
     return int(math.ceil(total + 10.0 * math.sqrt(total) + 10.0))
 
 
+def _expansion(state: SuperposedState, cutoff: int) -> np.ndarray:
+    return sum(w * coherent_amplitudes(a, cutoff) for w, a in zip(state.weights.tolist(), state.amplitudes.tolist()))
+
+
 def encode(state_a: SuperposedState, state_b: SuperposedState, cutoff: int) -> FockVector:
     """Two-mode number-basis expansion of the input product state."""
     if not (state_a.normalized and state_b.normalized):
         raise ValueError("encode requires normalized input states")
-    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for wa, a in zip(state_a.weights.tolist(), state_a.amplitudes.tolist()):
-        ca = coherent_amplitudes(a, cutoff)
-        for wb, b in zip(state_b.weights.tolist(), state_b.amplitudes.tolist()):
-            psi += (wa * wb) * np.outer(ca, coherent_amplitudes(b, cutoff))
+    # the input is a product state, so psi is one outer product of the two single-mode expansions
+    psi = np.outer(_expansion(state_a, cutoff), _expansion(state_b, cutoff))
     ns = np.arange(cutoff + 1)
     psi[ns[:, None] + ns[None, :] > cutoff] = 0.0
     tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
@@ -112,12 +117,11 @@ def encode(state_a: SuperposedState, state_b: SuperposedState, cutoff: int) -> F
 
 
 @lru_cache(maxsize=None)
-def _bs_block(total: int) -> np.ndarray:
-    """Unitary of the 50:50 splitter on the N-photon subspace.
+def _kravchuk_block(total: int) -> np.ndarray:
+    """Real part R of the N-photon splitter block B[j, n] = i^j R[j, n] i^n.
 
-    Entry [j, n] is <j, N-j|U|n, N-n> = i^(n+j) F_n(j) 2^(-N/2)
-    sqrt(j!(N-j)! / (n!(N-n)!)) with F_n(j) the x^j coefficient of
-    (1-x)^n (1+x)^(N-n), carried exactly in integers.
+    R[j, n] = F_n(j) 2^(-N/2) sqrt(j!(N-j)! / (n!(N-n)!)) with F_n(j) the x^j
+    coefficient of (1-x)^n (1+x)^(N-n), carried exactly in integers.
     """
     rows = [[math.comb(total, j) for j in range(total + 1)]]
     for _ in range(total):
@@ -134,26 +138,37 @@ def _bs_block(total: int) -> np.ndarray:
             raise ArithmeticError("inexact polynomial division in splitter block")
         rows.append(quot)
     lg = _lgamma_table(total)
-    block = np.zeros((total + 1, total + 1), dtype=complex)
-    log2 = math.log(2.0)
-    for n in range(total + 1):
-        coeffs = rows[n]
-        for j in range(total + 1):
-            f = coeffs[j]
-            if f == 0:
-                continue
-            scale = math.exp(-0.5 * total * log2 + 0.5 * (lg[j] + lg[total - j] - lg[n] - lg[total - n]))
-            block[j, n] = _PHASES[(n + j) % 4] * (float(f) * scale)
-    return block
+    j, n = np.arange(total + 1)[:, None], np.arange(total + 1)[None, :]
+    scale = np.exp(-0.5 * total * math.log(2.0) + 0.5 * (lg[j] + lg[total - j] - lg[n] - lg[total - n]))
+    # in place, so the cached block keeps the scale's buffer: a fresh one per block fragments the heap (+1 MB RSS)
+    return np.multiply(scale, np.array(rows, dtype=float).T, out=scale)
+
+
+def _bs_block(total: int) -> np.ndarray:
+    """Unitary of the 50:50 splitter on the N-photon subspace, <j, N-j|U|n, N-n> at [j, n]."""
+    phase = np.array(_PHASES)[np.arange(total + 1) % 4]
+    return phase[:, None] * _kravchuk_block(total) * phase[None, :]
+
+
+@lru_cache(maxsize=None)
+def _shell_order(cutoff: int):
+    """Flat (n_a, n_b) index of the triangle in shell-major order, and i^(n_a) at each entry."""
+    totals, n_a = np.tril_indices(cutoff + 1)  # row-major: shell by shell, n_a rising within each
+    return n_a * (cutoff + 1) + (totals - n_a), np.array(_PHASES)[n_a % 4]
 
 
 def _apply_beam_splitter(psi: np.ndarray, cutoff: int) -> np.ndarray:
-    """Apply the splitter on the last two axes (n_a, n_b), block by block."""
-    out = np.zeros_like(psi)
+    """Apply the splitter on the last two axes (n_a, n_b), one real block matmul per shell."""
+    index, phase = _shell_order(cutoff)
+    lead = psi.shape[:-2]
+    shells = psi.reshape(*lead, -1).take(index, axis=-1) * phase
+    pairs = shells.view(float).reshape(*lead, len(index), 2)  # (re, im) of each entry, shells contiguous
     for total in range(cutoff + 1):
-        idx = np.arange(total + 1)
-        out[..., idx, total - idx] = psi[..., idx, total - idx] @ _bs_block(total).T
-    return out
+        part = slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
+        pairs[..., part, :] = _kravchuk_block(total) @ pairs[..., part, :]
+    out = np.zeros(lead + ((cutoff + 1) ** 2,), dtype=complex)
+    out[..., index] = shells * phase
+    return out.reshape(psi.shape)
 
 
 def _apply_phase(psi: np.ndarray, cutoff: int, phi: float) -> np.ndarray:
@@ -203,10 +218,9 @@ def _apply_bs_density(matrix: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def _thin(probs: np.ndarray, loss_t: float, loss_r: float) -> np.ndarray:
-    """Photon count after pure loss: P'(n) = sum_m C(m, n) t^(2n) r^(2(m-n)) P(m).
-
-    At r = 0 the kernel is the identity, since 0.0 ** 0 == 1.
-    """
+    """Photon count after pure loss: P'(n) = sum_m C(m, n) t^(2n) r^(2(m-n)) P(m)."""
+    if loss_r == 0.0:
+        return probs  # the kernel is exactly the identity
     ns = np.arange(len(probs))
     dropped = ns[None, :] - ns[:, None]  # m - n, row n, column m
     kept = np.maximum(dropped, 0)

@@ -14,7 +14,8 @@ Completing the square gives each factor the real part -2(y - m)^2 about the
 pair midpoint m = (k + b)/2, so nothing overflows at any amplitude.  A grid
 must also resolve the fringes: the y1 factor oscillates at 2|Im(k - b)| and
 the y2 factor at 2|Re(k - b)|, and a step at or above the Nyquist limit on
-either axis is rejected.  Negativity anywhere certifies a nonclassical state.
+either axis is rejected, as is a grid above MAX_RESOLUTION points per axis.
+Negativity anywhere certifies a nonclassical state.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ WIGNER_BOUND = 2.0 / math.pi
 BOUND_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-12
 NEGLIGIBLE_COEFF = 1e-9  # pairs at or below this |C_ij| need no fringe sampling
+MAX_RESOLUTION = 1001  # points per axis: 1e6 grid values, about 60 MB as CLI rows
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,13 @@ def wigner_grid(
     y2_range: tuple[float, float] | None = None,
     resolution: int = 201,
 ) -> WignerGrid:
-    """Evaluate W on a uniform grid (default window covers all lobes); ValueError if it undersamples a fringe."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
+    """Evaluate W on a uniform grid (default window covers all lobes).
+
+    ValueError if the grid undersamples a fringe or exceeds MAX_RESOLUTION
+    points per axis; both are checked before the grid is allocated.
+    """
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}] per axis")
     op = _operator(state)
     if y1_range is None or y2_range is None:
         half = default_window(op)
@@ -120,6 +126,13 @@ def wigner_grid(
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"phase-space range ({lo}, {hi}) must be finite and increasing")
     needed = _min_resolution(op, y1_range[1] - y1_range[0], y2_range[1] - y2_range[0])
+    if needed > MAX_RESOLUTION:
+        # a window narrower by (needed - 1) / (MAX_RESOLUTION - 2) brings the need within the cap
+        factor = math.ceil(100 * (needed - 1) / (MAX_RESOLUTION - 2)) / 100
+        raise ValueError(
+            f"the interference fringes on this window need resolution {needed}, above the cap of "
+            f"{MAX_RESOLUTION}; choose a window at least {factor:g} times narrower"
+        )
     if resolution < needed:
         raise ValueError(
             f"resolution {resolution} undersamples the interference fringes on this window; "

@@ -2,8 +2,10 @@
 
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
 signal, the dense triangular-basis form of the Fock splitter, the
-cell-by-cell row writer that the CLI's column writer must reproduce, and the
-pointwise Wigner sum that the separable grid kernel must reproduce.
+cell-by-cell row writer that the CLI's column writer must reproduce, the
+pointwise Wigner sum that the separable grid kernel must reproduce, and the
+loop forms of the splitter blocks, the Fock encoding and P(n) that the array
+forms must reproduce.
 """
 
 import json
@@ -116,3 +118,64 @@ def reference_wigner(op, lam) -> np.ndarray:
     if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(total.real)))):
         raise ArithmeticError(f"Wigner values have imaginary residue {residue:.3e}")
     return (2.0 / math.pi) * total.real
+
+
+def reference_bs_block(total: int) -> np.ndarray:
+    """Complex splitter block on the N-photon subspace, filled entry by entry."""
+    rows = [[math.comb(total, j) for j in range(total + 1)]]
+    for _ in range(total):
+        prev = rows[-1]
+        mult = [0] * (total + 2)
+        for j, c in enumerate(prev):
+            mult[j] += c
+            mult[j + 1] -= c
+        quot = [0] * (total + 1)
+        quot[0] = mult[0]
+        for j in range(1, total + 1):
+            quot[j] = mult[j] - quot[j - 1]
+        assert mult[total + 1] - quot[total] == 0
+        rows.append(quot)
+    lg = [math.lgamma(k + 1) for k in range(total + 1)]
+    phases = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+    block = np.zeros((total + 1, total + 1), dtype=complex)
+    log2 = math.log(2.0)
+    for n in range(total + 1):
+        for j in range(total + 1):
+            f = rows[n][j]
+            if f == 0:
+                continue
+            scale = math.exp(-0.5 * total * log2 + 0.5 * (lg[j] + lg[total - j] - lg[n] - lg[total - n]))
+            block[j, n] = phases[(n + j) % 4] * (float(f) * scale)
+    return block
+
+
+def reference_encode(state_a, state_b, cutoff: int) -> np.ndarray:
+    """Triangle-masked psi accumulated as one outer product per pair of components."""
+    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for wa, a in zip(state_a.weights.tolist(), state_a.amplitudes.tolist()):
+        ca = fo.coherent_amplitudes(a, cutoff)
+        for wb, b in zip(state_b.weights.tolist(), state_b.amplitudes.tolist()):
+            psi += (wa * wb) * np.outer(ca, fo.coherent_amplitudes(b, cutoff))
+    ns = np.arange(cutoff + 1)
+    psi[ns[:, None] + ns[None, :] > cutoff] = 0.0
+    return psi
+
+
+def reference_photon_probabilities(w, a, rest, cutoff: int) -> np.ndarray:
+    """P(0..cutoff) at port a, one pair-sum contraction per photon number."""
+    aa = np.abs(a) ** 2
+    gauss = -0.5 * (aa[:, None] + aa[None, :])
+    z = np.conj(a)[:, None] * a[None, :]
+    nz = z != 0
+    log_z = np.log(z[nz])
+    probs = np.empty(cutoff + 1)
+    for n in range(cutoff + 1):
+        if n == 0:
+            port = np.exp(gauss)
+        else:
+            port = np.zeros_like(z)
+            port[nz] = np.exp(gauss[nz] + n * log_z - math.lgamma(n + 1))
+        val = np.conj(w) @ (port * rest) @ w
+        assert abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)) and val.real >= -1e-10
+        probs[n] = min(max(float(val.real), 0.0), 1.0)
+    return probs

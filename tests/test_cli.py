@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlidar import cli
+from qlidar import cli, detection, wigner
 
 
 def run_cli(args):
@@ -217,6 +217,24 @@ class TestWigner:
         assert np.sum(cells[:, 2]) * (y1[1] - y1[0]) * (y2[1] - y2[0]) == pytest.approx(1.0, abs=1e-3)
 
 
+    def test_resolution_above_cap_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wigner, "_evaluate", _no_computation)
+        out = tmp_path / "wig.csv"
+        assert run_cli(["wigner", "--resolution", "26740", "--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == f"invalid spec: resolution must lie in [2, {wigner.MAX_RESOLUTION}] per axis\n"
+        assert not out.exists()
+
+    def test_fringes_beyond_cap_ask_for_narrower_window(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wigner, "_evaluate", _no_computation)
+        out = tmp_path / "wig.csv"
+        args = ["wigner", "--state-a", "mps1", "--alpha-re", "100", "--alpha-im", "0", "--out", str(out)]
+        assert run_cli(args) == cli.EXIT_INVALID_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec: the interference fringes on this window need resolution 26740")
+        assert "window at least 26.77 times narrower" in err
+        assert not out.exists()
+
+
 class TestLoss:
     def test_zero_loss_row_matches_lossless(self, tmp_path):
         out = tmp_path / "loss.csv"
@@ -276,6 +294,23 @@ class TestSpecHandling:
     def test_nonfinite_spec_rejected(self, args, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_cli(args + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,target,error",
+        [
+            (["signal", "--phi-steps", "3"], "expectation_curve", detection.NegativeProbability("P(0) = -1.000e-03")),
+            (["wigner", "--resolution", "21"], "_evaluate", ArithmeticError("Wigner values have imaginary residue 1e-3")),
+        ],
+    )
+    def test_numerical_failure_exit_code(self, args, target, error, tmp_path, capsys, monkeypatch):
+        def fail(*a, **k):
+            raise error
+
+        monkeypatch.setattr(wigner if target == "_evaluate" else detection, target, fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_NUMERICAL == 4
+        assert capsys.readouterr().err == f"numerical limit: {error}\n"
         assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):

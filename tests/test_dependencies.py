@@ -1,9 +1,16 @@
-"""The library needs numpy alone at run time; scipy is a test-only dependency."""
+"""The library needs numpy alone at run time; scipy is a test-only dependency.
 
+The verification routes, the closed forms and the Fock oracle, stay
+independent of the pair-sum engine and of each other.
+"""
+
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,3 +30,34 @@ def test_sources_never_mention_scipy():
         if "scipy" in line
     ]
     assert hits == []
+
+
+def _qlidar_imports(source: str) -> set[str]:
+    """Names of the qlidar modules that a module of the package imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("qlidar."))
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and base.split(".")[0] != "qlidar":
+                continue
+            parts = base.split(".")[1:] if node.level == 0 else base.split(".") if base else []
+            # "from . import x" and "from qlidar import x" name the modules after "import"
+            found.update(parts[:1] or (alias.name for alias in node.names))
+    return found
+
+
+def test_import_parser_sees_every_form():
+    source = "import numpy\nfrom . import detection\nfrom .metrology import fwhm\nimport qlidar.wigner\nfrom qlidar import cli\n"
+    assert _qlidar_imports(source) == {"detection", "metrology", "wigner", "cli"}
+
+
+ENGINE = {"detection", "metrology", "wigner", "cli"}
+
+
+@pytest.mark.parametrize("module,forbidden", [("fock_oracle", ENGINE | {"closedform"}), ("closedform", ENGINE)])
+def test_verification_routes_stay_independent(module, forbidden):
+    imports = _qlidar_imports((SRC / "qlidar" / f"{module}.py").read_text())
+    assert {"interferometer", "states"} <= imports  # the shared definitions are seen, so the parse is live
+    assert imports.isdisjoint(forbidden), sorted(imports & forbidden)

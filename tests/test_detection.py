@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binary_probabilities
+from helpers import binary_probabilities, reference_photon_probabilities
 from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
@@ -50,6 +50,52 @@ class TestPhotonProbability:
         assert total <= 1.0 + 1e-10
         assert total + dist.tail_bound >= 1.0 - 1e-10
         assert np.all(dist.probs >= 0.0)
+
+
+class TestOnePassDistribution:
+    """P(0..cutoff) in one array pass against the per-n loop it replaces."""
+
+    def _outputs(self, count, seed):
+        # |amplitude| >= 0.5 keeps the four-component weights, which grow like |alpha|^-3, well conditioned
+        rng = np.random.default_rng(seed)
+        kinds = [k for k in StateKind if k is not StateKind.CUSTOM]
+        for _ in range(count):
+            sa, sb = (
+                make_state(kinds[rng.integers(len(kinds))], cmath.rect(rng.uniform(0.5, hi), rng.uniform(-3, 3)))
+                for hi in (3.0, 1.5)
+            )
+            yield propagate(sa, sb, MziConfig(phi=rng.uniform(-3, 3), loss_r=rng.uniform(0, 0.9)))
+
+    def test_matches_per_n_reference(self):
+        for out in self._outputs(60, seed=3):
+            w, a, rest = detection._pair_data(out)
+            cutoff = detection.default_cutoff(out)
+            got = detection._photon_probabilities(w, a, rest, cutoff)
+            ref = reference_photon_probabilities(w, a, rest, cutoff)
+            assert np.abs(got[1:] - ref[1:]).max() <= 1e-14 * float(np.sum(np.abs(w))) ** 2
+
+    def test_vacuum_term_is_bit_equal_to_reference(self):
+        for out in self._outputs(60, seed=4):
+            w, a, rest = detection._pair_data(out)
+            ref = reference_photon_probabilities(w, a, rest, 0)[0]
+            assert detection._photon_probabilities(w, a, rest, 12)[0].tobytes() == ref.tobytes()
+            assert detection.z_expectation(out) == ref
+
+    # two terms, a = (0, 1) and real weights: only the pair (1, 1) reaches n >= 1, and P(0) sums both diagonal terms
+    W2, A2 = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([0.0, 1.0], dtype=complex)
+
+    def test_residue_names_first_offending_n(self):
+        # imaginary parts cancel in P(0) = (rest_00 + rest_11 / e) / 2 but not in P(n >= 1)
+        s = 1e-6
+        rest = np.array([[1.0 - 1j * s / math.e, 0.0], [0.0, 1.0 + 1j * s]])
+        with pytest.raises(ArithmeticError, match=r"^P\(1\) has imaginary residue"):
+            detection._photon_probabilities(self.W2, self.A2, rest, 5)
+
+    def test_negativity_names_first_offending_n(self):
+        rest = np.array([[2.0, 0.0], [0.0, -1.0]], dtype=complex)
+        with pytest.raises(detection.NegativeProbability, match=r"^P\(1\) = -1\.839e-01"):
+            detection._photon_probabilities(self.W2, self.A2, rest, 5)
+        assert detection._photon_probabilities(self.W2, self.A2, rest, 0)[0] == pytest.approx(1.0 - 0.5 / math.e)
 
 
 class TestParity:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import basis_index, beam_splitter_unitary, triangle_dimension
+from helpers import basis_index, beam_splitter_unitary, reference_bs_block, reference_encode, triangle_dimension
 from qlidar import fock_oracle as fo
 from qlidar.interferometer import MziConfig, mode_transform
 from qlidar.states import StateKind, make_state, vacuum
@@ -176,3 +176,48 @@ class TestSimulate:
         assert np.trace(flat).real == pytest.approx(1.0, abs=1e-10)
         eigs = np.linalg.eigvalsh(flat)
         assert eigs.min() > -1e-10
+
+
+def _to_triangle(psi, cutoff):
+    """(..., cutoff+1, cutoff+1) amplitudes as (..., triangle) vectors in the basis of basis_index."""
+    pairs = [(na, total - na) for total in range(cutoff + 1) for na in range(total + 1)]
+    return np.stack([psi[..., na, nb] for na, nb in pairs], axis=-1), pairs
+
+
+class TestArrayFormsMatchLoops:
+    """The array forms of the splitter, the encoding and thinning against the loop forms they replace."""
+
+    @pytest.mark.parametrize("total", [0, 1, 2, 3, 7, 20, 41, 90, 120])
+    def test_block_matches_entrywise_reference(self, total):
+        assert np.abs(fo._bs_block(total) - reference_bs_block(total)).max() <= 1e-15
+
+    def test_cached_block_is_real(self):
+        assert fo._kravchuk_block(9).dtype == np.float64
+        assert fo._kravchuk_block(9) is fo._kravchuk_block(9)
+        assert np.abs(fo._bs_block(9).real).max() > 0 and np.abs(fo._bs_block(9).imag).max() > 0
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 7, 30])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_splitter_equals_dense_unitary(self, cutoff, lead):
+        rng = np.random.default_rng(cutoff + 10 * len(lead))
+        shape = lead + (cutoff + 1, cutoff + 1)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = fo._apply_beam_splitter(psi, cutoff)
+        vec, pairs = _to_triangle(psi, cutoff)
+        expect = vec @ beam_splitter_unitary(cutoff).T
+        got, _ = _to_triangle(out, cutoff)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(psi).max()
+        outside = np.ones((cutoff + 1, cutoff + 1), dtype=bool)
+        outside[tuple(np.array(pairs).T)] = False
+        assert not np.any(out[..., outside])
+
+    @pytest.mark.parametrize("kind_a", [k for k in StateKind if k is not StateKind.CUSTOM])
+    @pytest.mark.parametrize("kind_b", [StateKind.CS, StateKind.MPS2])
+    def test_encode_matches_pairwise_reference(self, kind_a, kind_b):
+        sa, sb = make_state(kind_a, 1.3 + 0.4j), make_state(kind_b, 0.7 - 0.2j)
+        cutoff = fo.default_cutoff(sa, sb)
+        assert np.abs(fo.encode(sa, sb, cutoff).amplitudes - reference_encode(sa, sb, cutoff)).max() <= 1e-15
+
+    def test_thin_without_loss_returns_its_input(self):
+        probs = np.array([0.5, 0.3, 0.2])
+        assert fo._thin(probs, 1.0, 0.0) is probs

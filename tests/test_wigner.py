@@ -133,6 +133,39 @@ class TestSamplingGuard:
         assert np.max(np.abs(grid.values[i, j] - reference_wigner(op, lam))) <= tol
 
 
+class TestResolutionCap:
+    """Grids above MAX_RESOLUTION points per axis are rejected before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("grid evaluated past the cap")
+
+        monkeypatch.setattr(wigner, "_evaluate", fail)
+        monkeypatch.setattr(wigner.np, "linspace", fail)
+
+    def test_cap_admits_the_existing_grids(self):
+        assert wigner.MAX_RESOLUTION >= 801
+
+    def test_requested_resolution_above_cap(self):
+        with pytest.raises(ValueError, match=r"resolution must lie in \[2, 1001\]"):
+            wigner.wigner_grid(make_state(StateKind.CS, 1.0), (-1, 1), (-1, 1), wigner.MAX_RESOLUTION + 1)
+        with pytest.raises(ValueError, match=r"must lie in"):
+            wigner.wigner_grid(make_state(StateKind.CS, 1.0), resolution=26740)
+
+    def test_needed_resolution_above_cap(self):
+        state = make_state(StateKind.MPS1, 100.0)
+        with pytest.raises(ValueError, match="need resolution 26740, above the cap of 1001; .* 26.77 times narrower"):
+            wigner.wigner_grid(state, resolution=wigner.MAX_RESOLUTION)
+
+    def test_suggested_window_fits_under_cap(self):
+        state = make_state(StateKind.MPS1, 100.0)
+        op = density_operator(state)
+        span = 2 * wigner.default_window(state)
+        assert wigner._min_resolution(op, span, span) == 26740
+        assert wigner._min_resolution(op, span / 26.77, span / 26.77) <= wigner.MAX_RESOLUTION
+
+
 class TestNegativitySummary:
     def test_coherent_no_negativity(self):
         summary = wigner.negativity_summary(wigner.wigner_grid(make_state(StateKind.CS, ALPHA)))
