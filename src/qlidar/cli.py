@@ -8,7 +8,9 @@ placed before the command line's own, so flags win; identical specs produce
 byte-identical output files.
 
 Exit codes: 0 success, 1 invalid spec or usage error, 2 oracle disagreement,
-3 I/O failure, 4 numerical limit (a probability, residue or bound check failed).
+3 I/O failure, 4 numerical limit (a probability, residue or bound check failed,
+no fringe peak or half-level crossing was found, a state's Gram sum is
+degenerate, or the oracle's cutoff drops too much probability).
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import numpy as np
 
 from . import detection, fock_oracle, metrology, wigner
 from .detection import Scheme
-from .interferometer import MziConfig, _check_phase, propagate
-from .states import StateKind, SuperposedState, make_state, vacuum
+from .fock_oracle import CutoffTooSmall
+from .interferometer import MziConfig, _check_loss, _check_phase, propagate
+from .metrology import NoPeak
+from .states import DegenerateState, StateKind, SuperposedState, make_state, vacuum
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
@@ -100,12 +104,6 @@ def _phi_grid(spec) -> np.ndarray:
     return np.linspace(spec.phi_min, spec.phi_max, spec.phi_steps)
 
 
-def _check_loss(loss_r: float) -> float:
-    if not 0.0 <= loss_r < 1.0:
-        raise InvalidSpec("loss-r must lie in [0, 1)")
-    return loss_r
-
-
 def cmd_signal(spec) -> int:
     names = [s.strip().lower() for s in spec.state_a.split(",") if s.strip()]
     if not names:
@@ -179,8 +177,8 @@ def cmd_wigner(spec) -> int:
 def cmd_loss(spec) -> int:
     if spec.r_steps < 1:
         raise InvalidSpec("r-steps must be at least 1")
-    if not 0.0 <= spec.r_min <= spec.r_max < 1.0:
-        raise InvalidSpec("loss grid must satisfy 0 <= r-min <= r-max < 1")
+    if not spec.r_min <= spec.r_max:  # metrology.loss_sweep checks the range of every value
+        raise InvalidSpec("loss grid must satisfy r-min <= r-max")
     state_a = _parse_state(spec.state_a, energy=spec.alpha2)
     state_b = _parse_state(spec.state_b, energy=spec.zeta2)
     scheme = Scheme.parse(spec.scheme)
@@ -373,15 +371,16 @@ def main(argv=None) -> int:
             spec = parser.parse_args(argv)
         _check_mode_flags(spec, argv)
         return _COMMANDS[spec.command][0](spec)
+    # before the ValueError clause: NoPeak, DegenerateState and CutoffTooSmall subclass ValueError
+    except (ArithmeticError, NoPeak, DegenerateState, CutoffTooSmall) as exc:
+        print(f"numerical limit: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ArithmeticError as exc:
-        print(f"numerical limit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

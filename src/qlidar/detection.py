@@ -5,6 +5,10 @@ for any single-mode observable X with coherent matrix elements <a_i|X|a_j>,
 
     <X> = sum_ij conj(w_i) w_j <a_i|X|a_j> prod_{m in b, env_a, env_b} <u_i[m]|u_j[m]>.
 
+At zero loss both loss splitters are the identity, the environment amplitudes
+are exactly 0 and their overlaps exactly 1, so the product runs over b alone
+(:func:`_traced_modes`); skipping those factors changes no bit of any result.
+
 Parity uses <a|Pi|b> = <a|-b>, the zero/nonzero scheme uses the vacuum
 projector, and P(n) the number-state projector.  Pair sums are Hermitian by
 construction, so the imaginary residue is asserted small and dropped rather
@@ -61,11 +65,16 @@ def _real_part(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _traced_modes(loss_r: float) -> tuple[int, ...]:
+    """Traced output modes that enter the pair sums: without loss both environments stay in vacuum."""
+    return (1,) if loss_r == 0.0 else (1, 2, 3)
+
+
 def _pair_data(out: FourModeOutput):
-    """Weights, port-a amplitudes, and the product of the three traced-mode overlaps."""
+    """Weights, port-a amplitudes, and the product of the traced-mode overlaps."""
     w, amps = out.weights, out.amplitudes
     rest = np.ones((len(w), len(w)), dtype=complex)
-    for m in (1, 2, 3):
+    for m in _traced_modes(out.config.loss_r):
         rest *= np.exp(_overlap_exponent(amps[:, m]))
     return w, amps[:, 0], rest
 
@@ -81,14 +90,18 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     gauss = -0.5 * (aa[:, None] + aa[None, :])
     vals = np.empty(cutoff + 1, dtype=complex)
     vals[0] = np.conj(w) @ (np.exp(gauss) * rest) @ w
-    if cutoff > 0:
-        z = np.conj(a)[:, None] * a[None, :]
-        nz = z != 0
-        ns = np.arange(1, cutoff + 1)[:, None]
-        log_factorial = np.array(list(map(math.lgamma, range(2, cutoff + 2))))[:, None]
-        port = np.zeros((cutoff,) + z.shape, dtype=complex)
-        port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
-        vals[1:] = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
+    if cutoff == 0:  # P(0) alone (z_expectation): the same checks in scalar Python
+        p0 = _real_part(complex(vals[0]), "P(0)")
+        if p0 < NEGATIVE_PROBABILITY_TOL:
+            raise NegativeProbability(f"P(0) = {p0:.3e}")
+        return vals.real.clip(0.0, 1.0)
+    z = np.conj(a)[:, None] * a[None, :]
+    nz = z != 0
+    ns = np.arange(1, cutoff + 1)[:, None]
+    log_factorial = np.array(list(map(math.lgamma, range(2, cutoff + 2))))[:, None]
+    port = np.zeros((cutoff,) + z.shape, dtype=complex)
+    port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
+    vals[1:] = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
     real = vals.real
     bad = (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real))) | (real < NEGATIVE_PROBABILITY_TOL)
     if np.count_nonzero(bad):
@@ -175,35 +188,41 @@ def expectation_evaluator(
     return evaluate
 
 
-def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float):
-    """Output amplitudes u and their phase derivatives du of K input pairs over P phases.
+def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float, want_derivative: bool):
+    """Output amplitudes u and, if wanted, their phase derivatives du (else None) of K input pairs over P phases.
 
-    Both have shape (K, 4, P): the transfer matrix and its derivative applied
-    to the (K, 2) input amplitudes at every phase.
+    Both have shape (K, M, P): rows 0 and :func:`_traced_modes` of the transfer
+    matrix and its derivative applied to the (K, 2) input amplitudes at every phase.
     """
     matrix, derivative = mode_transform(phis, loss_r)
+    rows = [0, *_traced_modes(loss_r)]
     aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
-    return aa * matrix[:, 0] + ab * matrix[:, 1], aa * derivative[:, 0] + ab * derivative[:, 1]
+    u = aa * matrix[rows, 0] + ab * matrix[rows, 1]
+    return u, (aa * derivative[rows, 0] + ab * derivative[rows, 1] if want_derivative else None)
 
 
-def _curve_values(w, u, du, scheme: Scheme, want_derivative: bool):
-    """Value sums and, if wanted, slope sums (else None) at the P phases of u, from one terms array."""
+def _curve_values(w, u, du, scheme: Scheme):
+    """Value sums and, if du is given, slope sums (else None) at the P phases of u, from one terms array.
+
+    Mode 0 of u is port a; the other modes of u are traced out.
+    """
     cross = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
     coeffs = (cross, 1.0, 1.0, 1.0)
-    n_pairs, _, n_phi = u.shape
+    n_pairs, n_modes, n_phi = u.shape
     exponent = np.zeros((n_pairs, n_pairs, n_phi), dtype=complex)
-    dexp = np.zeros_like(exponent) if want_derivative else None
-    for m in range(4):
-        um, dum = u[:, m, :], du[:, m, :]
+    dexp = None if du is None else np.zeros_like(exponent)
+    for m in range(n_modes):
+        um = u[:, m, :]
         exponent += _overlap_exponent(um, coeffs[m])
-        if want_derivative:
+        if du is not None:
+            dum = du[:, m, :]
             duu = 2.0 * np.real(np.conj(um) * dum)
             dexp += -0.5 * (duu[:, None, :] + duu[None, :, :]) + coeffs[m] * (
                 np.conj(dum)[:, None, :] * um[None, :, :] + np.conj(um)[:, None, :] * dum[None, :, :]
             )
     pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
     terms = pair_w * np.exp(exponent)
-    return _real_sums(terms, "curve"), (_real_sums(terms * dexp, "slope curve") if want_derivative else None)
+    return _real_sums(terms, "curve"), (None if du is None else _real_sums(terms * dexp, "slope curve"))
 
 
 def _real_sums(terms: np.ndarray, what: str) -> np.ndarray:
@@ -223,8 +242,8 @@ def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivativ
     slopes = np.empty(phis.shape) if want_derivative else None
     for lo in range(0, len(phis), CURVE_CHUNK):
         part = slice(lo, lo + CURVE_CHUNK)
-        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r)
-        values[part], chunk_slopes = _curve_values(w, u, du, scheme, want_derivative)
+        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r, want_derivative)
+        values[part], chunk_slopes = _curve_values(w, u, du, scheme)
         if want_derivative:
             slopes[part] = chunk_slopes
     return values, slopes

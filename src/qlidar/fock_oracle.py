@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interferometer import MziConfig
+from .interferometer import MziConfig, _check_loss
 from .states import SuperposedState
 
 ENCODE_TAIL_LIMIT = 1e-10
@@ -191,8 +191,7 @@ def loss_channel(rho: FockDensity, arm: str, loss_r: float) -> FockDensity:
     """Pure-loss channel with transmissivity t^2 = 1 - loss_r^2 on one arm."""
     if arm not in ("a", "b"):
         raise ValueError("arm must be 'a' or 'b'")
-    if not 0.0 <= loss_r < 1.0:
-        raise ValueError("loss_r must lie in [0, 1)")
+    loss_r = _check_loss(loss_r)
     if loss_r == 0.0:
         return rho
     cutoff = rho.cutoff

@@ -28,10 +28,13 @@ def _check_phase(phi):
 
 
 def _check_loss(loss_r) -> float:
-    """Return ``loss_r`` as a float unless it lies outside [0, 1] or is NaN."""
+    """Return ``loss_r`` as a float unless it lies outside [0, 1) or is NaN.
+
+    The package's one loss guard: total loss (r = 1) leaves no fringe to measure.
+    """
     loss_r = float(loss_r)
-    if not 0.0 <= loss_r <= 1.0:
-        raise ValueError(f"loss_r must lie in [0, 1], got {loss_r}")
+    if not 0.0 <= loss_r < 1.0:
+        raise ValueError(f"loss_r must lie in [0, 1), got {loss_r}")
     return loss_r
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import detection
 from .detection import Scheme
-from .interferometer import MziConfig
+from .interferometer import MziConfig, _check_loss
 from .states import SuperposedState, mean_photon_number
 
 TWO_PI = 2.0 * math.pi
@@ -359,10 +359,7 @@ def loss_sweep(
     if metric not in ("ratio", "fwhm"):
         raise ValueError("metric must be 'ratio' or 'fwhm'")
     rows = []
-    for r in r_grid:
-        r = float(r)
-        if not 0.0 <= r < 1.0:
-            raise ValueError("loss grid values must lie in [0, 1)")
+    for r in [_check_loss(r) for r in r_grid]:  # the whole grid is checked before any work
         if metric == "ratio":
             point = phase_sensitivity(state_a, state_b, MziConfig(phi=phi, loss_r=r), scheme)
             rows.append((r, point.ratio))

@@ -3,9 +3,11 @@
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
 signal, the dense triangular-basis form of the Fock splitter, the
 cell-by-cell row writer that the CLI's column writer must reproduce, the
-pointwise Wigner sum that the separable grid kernel must reproduce, and the
+pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
-forms must reproduce.
+forms must reproduce, and the pair sums over all four output modes that the
+engine, which skips the vacuum loss environments at zero loss, must reproduce
+bit for bit.
 """
 
 import json
@@ -15,7 +17,9 @@ import numpy as np
 
 from qlidar import detection
 from qlidar import fock_oracle as fo
-from qlidar.interferometer import FourModeOutput
+from qlidar.detection import Scheme
+from qlidar.interferometer import FourModeOutput, _input_pairs, mode_transform, propagate
+from qlidar.states import _overlap_exponent
 from qlidar.wigner import IMAG_RESIDUE_TOL
 
 
@@ -179,3 +183,44 @@ def reference_photon_probabilities(w, a, rest, cutoff: int) -> np.ndarray:
         assert abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)) and val.real >= -1e-10
         probs[n] = min(max(float(val.real), 0.0), 1.0)
     return probs
+
+
+def reference_pair_data(out: FourModeOutput):
+    """Weights, port-a amplitudes, and the product of the overlaps of port b and both loss environments."""
+    w, amps = out.weights, out.amplitudes
+    rest = np.ones((len(w), len(w)), dtype=complex)
+    for m in (1, 2, 3):
+        rest *= np.exp(_overlap_exponent(amps[:, m]))
+    return w, amps[:, 0], rest
+
+
+def reference_expectation(state_a, state_b, config, scheme: Scheme) -> float:
+    """<Pi> or <Z> at one phase from the four-mode pair data."""
+    w, a, rest = reference_pair_data(propagate(state_a, state_b, config))
+    if scheme is Scheme.Z:
+        return float(reference_photon_probabilities(w, a, rest, 0)[0])
+    val = detection._real_part(np.conj(w) @ (np.exp(_overlap_exponent(a, -1.0)) * rest) @ w, "parity")
+    return min(max(val, -1.0), 1.0)
+
+
+def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
+    """Values and slopes over at most one curve chunk of phases, summed over all four output modes."""
+    w, amps_in = _input_pairs(state_a, state_b)
+    phis = np.asarray(phis, dtype=float)
+    assert len(phis) <= detection.CURVE_CHUNK
+    matrix, derivative = mode_transform(phis, loss_r)
+    aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
+    u, du = aa * matrix[:, 0] + ab * matrix[:, 1], aa * derivative[:, 0] + ab * derivative[:, 1]
+    coeffs = ({Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme], 1.0, 1.0, 1.0)
+    n_pairs, _, n_phi = u.shape
+    exponent = np.zeros((n_pairs, n_pairs, n_phi), dtype=complex)
+    dexp = np.zeros_like(exponent)
+    for m in range(4):
+        um, dum = u[:, m, :], du[:, m, :]
+        exponent += _overlap_exponent(um, coeffs[m])
+        duu = 2.0 * np.real(np.conj(um) * dum)
+        dexp += -0.5 * (duu[:, None, :] + duu[None, :, :]) + coeffs[m] * (
+            np.conj(dum)[:, None, :] * um[None, :, :] + np.conj(um)[:, None, :] * dum[None, :, :]
+        )
+    terms = (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
+    return detection._real_sums(terms, "curve"), detection._real_sums(terms * dexp, "slope curve")

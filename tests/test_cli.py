@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlidar import cli, detection, wigner
+from qlidar import cli, detection, fock_oracle, metrology, wigner
 
 
 def run_cli(args):
@@ -310,6 +310,59 @@ class TestSpecHandling:
         monkeypatch.setattr(wigner if target == "_evaluate" else detection, target, fail)
         out = tmp_path / "x.csv"
         assert run_cli(args + ["--out", str(out)]) == cli.EXIT_NUMERICAL == 4
+        assert capsys.readouterr().err == f"numerical limit: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["signal", "--loss-r", "1", "--phi-steps", "3"],
+            ["sensitivity", "--loss-r", "1", "--phi-steps", "3"],
+            ["fwhm", "--scheme", "z", "--alpha2-min", "2", "--alpha2-max", "2", "--alpha2-steps", "1", "--loss-r", "1"],
+            ["loss", "--r-max", "1", "--r-steps", "3"],
+        ],
+    )
+    def test_total_loss_is_invalid_spec(self, args, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == "invalid spec: loss_r must lie in [0, 1), got 1.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,code,message",
+        [
+            # the weights of mps3 at |alpha|^2 = 1e-9 cancel below the Gram floor: a valid spec at a numerical limit
+            (["signal", "--state-a", "mps3", "--alpha2", "1e-9", "--phi-steps", "3"], 4, "numerical limit: Gram sum "),
+            (["signal", "--state-a", "mps3", "--alpha2", "1e-9", "--phi-steps", "1"], 1, "invalid spec: phi-steps"),
+            (["sensitivity", "--state-a", "vacuum", "--phi-steps", "3"], 1, "invalid spec: total input photon number"),
+        ],
+    )
+    def test_limit_or_spec_exit_code(self, args, code, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,module,target,error",
+        [
+            (
+                ["fwhm", "--scheme", "z", "--alpha2-min", "2", "--alpha2-max", "2", "--alpha2-steps", "1"],
+                metrology,
+                "fwhm",
+                metrology.NoPeak("half level is never crossed on both sides of the peak"),
+            ),
+            (["oracle-check", "--quick"], fock_oracle, "simulate", fock_oracle.CutoffTooSmall("norm deficit 1e-9")),
+        ],
+    )
+    def test_limit_failure_exit_code(self, args, module, target, error, tmp_path, capsys, monkeypatch):
+        def fail(*a, **k):
+            raise error
+
+        assert isinstance(error, ValueError)  # library callers still catch these as ValueError
+        monkeypatch.setattr(module, target, fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical limit: {error}\n"
         assert not out.exists()
 

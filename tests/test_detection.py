@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binary_probabilities, reference_photon_probabilities
+from helpers import (
+    binary_probabilities,
+    reference_curve,
+    reference_expectation,
+    reference_pair_data,
+    reference_photon_probabilities,
+)
 from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
@@ -96,6 +102,22 @@ class TestOnePassDistribution:
         with pytest.raises(detection.NegativeProbability, match=r"^P\(1\) = -1\.839e-01"):
             detection._photon_probabilities(self.W2, self.A2, rest, 5)
         assert detection._photon_probabilities(self.W2, self.A2, rest, 0)[0] == pytest.approx(1.0 - 0.5 / math.e)
+
+    @pytest.mark.parametrize(
+        "rest,error",
+        [
+            (np.array([[-1.0, 0.0], [0.0, -1.0]], dtype=complex), detection.NegativeProbability),
+            (np.array([[1.0 + 1e-6j, 0.0], [0.0, 1.0]]), ArithmeticError),
+        ],
+    )
+    def test_vacuum_only_check_matches_full_pass(self, rest, error):
+        # z_expectation checks P(0) alone in scalar Python; a full pass stops at the same n = 0
+        with pytest.raises(error) as full:
+            detection._photon_probabilities(self.W2, self.A2, rest, 5)
+        with pytest.raises(error) as alone:
+            detection._photon_probabilities(self.W2, self.A2, rest, 0)
+        assert type(alone.value) is type(full.value) and str(alone.value) == str(full.value)
+        assert str(full.value).startswith("P(0) ")
 
 
 class TestParity:
@@ -259,7 +281,7 @@ class TestInvariances:
                     sweep(sa, vacuum(), Scheme.PARITY, [0.0, bad])
                 assert str(from_curve.value) == str(from_config.value)
 
-    @pytest.mark.parametrize("loss_r", [1.5, -0.3, math.nan])
+    @pytest.mark.parametrize("loss_r", [1.0, 1.5, -0.3, math.nan])
     @pytest.mark.parametrize(
         "sweep",
         [
@@ -281,3 +303,37 @@ class TestInvariances:
         assert Scheme.parse("PARITY") is Scheme.PARITY
         with pytest.raises(ValueError):
             Scheme.parse("intensity")
+
+
+SIX = (StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3)
+
+
+class TestTracedModes:
+    """Skipping the vacuum loss environments at zero loss changes no bit of any result."""
+
+    def test_environments_traced_whenever_loss_is_nonzero(self):
+        assert detection._traced_modes(0.0) == detection._traced_modes(-0.0) == (1,)
+        assert detection._traced_modes(1e-300) == detection._traced_modes(0.3) == (1, 2, 3)
+
+    @pytest.mark.parametrize("loss_r", [0.0, -0.0, 0.3, math.nextafter(1.0, 0.0)], ids=repr)
+    @pytest.mark.parametrize("kind", SIX, ids=lambda k: k.value)
+    def test_equal_to_four_mode_reference(self, kind, loss_r):
+        phis = np.linspace(-math.pi, math.pi, 33)
+        for alpha2 in (0.5, 2.0, 51.0):
+            sa = make_state(kind, math.sqrt(alpha2))
+            for sb in (vacuum(), cs(2.0)):
+                for scheme in (Scheme.PARITY, Scheme.Z):
+                    for phi in phis[::8]:
+                        config = MziConfig(phi=float(phi), loss_r=loss_r)
+                        got = detection.expectation(sa, sb, config, scheme)
+                        assert got == reference_expectation(sa, sb, config, scheme)
+                    values, slopes = reference_curve(sa, sb, scheme, phis, loss_r)
+                    assert np.array_equal(detection.expectation_curve(sa, sb, scheme, phis, loss_r), values)
+                    assert np.array_equal(detection.expectation_derivative_curve(sa, sb, scheme, phis, loss_r), slopes)
+                out = propagate(sa, sb, MziConfig(phi=1.7, loss_r=loss_r))
+                w, a, rest = reference_pair_data(out)
+                dist = detection.port_distribution(out)
+                assert np.array_equal(dist.probs, detection._photon_probabilities(w, a, rest, dist.cutoff))
+                op = detection.reduced_port_a(out)
+                assert np.array_equal(op.coeffs, np.conj(w)[:, None] * w[None, :] * rest)
+                assert np.array_equal(op.amplitudes, a)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import mode_mean_photon, output_gram_sum
-from qlidar import states
+from qlidar import fock_oracle, metrology, states
+from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, mode_transform, propagate
 from qlidar.states import StateKind, make_state, vacuum
 
@@ -28,6 +29,35 @@ class TestConfig:
             MziConfig(phi=0.0, loss_r=1.5)
         with pytest.raises(ValueError):
             MziConfig(phi=math.inf)
+
+
+class TestOneLossGuard:
+    """Total loss leaves no fringe to measure: loss_r = 1 is rejected alike wherever it enters.
+
+    The curve functions are checked against ``MziConfig`` in test_detection.py.
+    """
+
+    @pytest.mark.parametrize("entry", ["config", "loss_sweep", "loss_channel"])
+    def test_total_loss_rejected_alike(self, entry, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("a grid point was computed before the grid was checked")
+
+        monkeypatch.setattr(metrology, "phase_sensitivity", computed)
+        sa = make_state(StateKind.CS, 1.0)
+        calls = {
+            "config": lambda: MziConfig(phi=0.0, loss_r=1.0),
+            "loss_sweep": lambda: metrology.loss_sweep(sa, vacuum(), 0.1, Scheme.PARITY, [0.0, 0.5, 1.0]),
+            "loss_channel": lambda: fock_oracle.loss_channel(
+                fock_oracle.FockDensity(cutoff=1, matrix=np.zeros((2, 2, 2, 2), dtype=complex)), "a", 1.0
+            ),
+        }
+        with pytest.raises(ValueError) as info:
+            calls[entry]()
+        assert str(info.value) == "loss_r must lie in [0, 1), got 1.0"
+
+    def test_largest_loss_below_one_accepted(self):
+        r = math.nextafter(1.0, 0.0)
+        assert 0.0 < MziConfig(phi=0.0, loss_r=r).loss_t < 1e-7
 
 
 class TestModeTransform:
