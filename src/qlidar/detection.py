@@ -13,6 +13,10 @@ Parity uses <a|Pi|b> = <a|-b>, the zero/nonzero scheme uses the vacuum
 projector, and P(n) the number-state projector.  Pair sums are Hermitian by
 construction, so the imaginary residue is asserted small and dropped rather
 than silently discarded.
+
+Parity and Z also take an output with a leading axis over P phases.  Each
+phase's sum is the gemv and dot of a one-phase sum over its own contiguous
+(K, K) block, so every value is bit-identical to the one-phase call.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interferometer import FourModeOutput, MziConfig, _check_loss, _check_phase, _input_pairs, _output, mode_transform
+from .interferometer import FourModeOutput, MziConfig, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
 from .states import CoherentOperator, SuperposedState, _overlap_exponent
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -59,7 +63,13 @@ class PortDistribution:
     tail_bound: float
 
 
-def _real_part(value: complex, what: str) -> float:
+def _real_part(value, what: str):
+    """Real part of a complex sum, or of an array of sums, unless an imaginary residue exceeds its tolerance."""
+    if isinstance(value, np.ndarray):
+        bad = np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
+        if bad.any():
+            _real_part(value[np.argmax(bad)], what)  # raises as the one-phase call does
+        return value.real
     if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
         raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -71,12 +81,23 @@ def _traced_modes(loss_r: float) -> tuple[int, ...]:
 
 
 def _pair_data(out: FourModeOutput):
-    """Weights, port-a amplitudes, and the product of the traced-mode overlaps."""
+    """Weights, port-a amplitudes, and the product of the traced-mode overlaps.
+
+    Over P phases the amplitudes are (K, P) and the overlap product (K, K, P).
+    """
     w, amps = out.weights, out.amplitudes
-    rest = np.ones((len(w), len(w)), dtype=complex)
-    for m in _traced_modes(out.config.loss_r):
-        rest *= np.exp(_overlap_exponent(amps[:, m]))
-    return w, amps[:, 0], rest
+    rest = np.ones((len(w), len(w)) + amps.shape[:-2], dtype=complex)
+    for m in _traced_modes(out.loss_r):
+        rest *= np.exp(_overlap_exponent(amps[..., m].T))
+    return w, amps[..., 0].T, rest
+
+
+def _pair_sum(w: np.ndarray, x: np.ndarray):
+    """sum_ij conj(w_i) x_ij w_j for x of shape (K, K), or one such sum per phase for (K, K, P)."""
+    if x.ndim == 2:
+        return np.conj(w) @ x @ w
+    x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return ((np.conj(w) @ x)[:, None, :] @ w[:, None])[:, 0, 0]
 
 
 def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff: int) -> np.ndarray:
@@ -88,12 +109,13 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     """
     aa = np.abs(a) ** 2
     gauss = -0.5 * (aa[:, None] + aa[None, :])
-    vals = np.empty(cutoff + 1, dtype=complex)
-    vals[0] = np.conj(w) @ (np.exp(gauss) * rest) @ w
-    if cutoff == 0:  # P(0) alone (z_expectation): the same checks in scalar Python
-        p0 = _real_part(complex(vals[0]), "P(0)")
-        if p0 < NEGATIVE_PROBABILITY_TOL:
-            raise NegativeProbability(f"P(0) = {p0:.3e}")
+    vals = np.empty((cutoff + 1,) + a.shape[1:], dtype=complex)
+    vals[0] = _pair_sum(w, np.exp(gauss) * rest)
+    if cutoff == 0:  # P(0) alone (z_expectation), at one phase or at each of P phases
+        p0 = _real_part(vals[0], "P(0)")
+        lowest = p0 if isinstance(p0, float) else p0.min()
+        if lowest < NEGATIVE_PROBABILITY_TOL:
+            raise NegativeProbability(f"P(0) = {lowest:.3e}")
         return vals.real.clip(0.0, 1.0)
     z = np.conj(a)[:, None] * a[None, :]
     nz = z != 0
@@ -148,16 +170,17 @@ def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDis
     return PortDistribution(probs=probs, cutoff=cutoff, tail_bound=float(np.sum(bound)))
 
 
-def parity_expectation(out: FourModeOutput) -> float:
-    """<Pi> at port a, the (-1)^n-weighted photon sum in closed form."""
+def parity_expectation(out: FourModeOutput):
+    """<Pi> at port a, the (-1)^n-weighted photon sum in closed form; one value per phase over P phases."""
     w, a, rest = _pair_data(out)
-    val = _real_part(np.conj(w) @ (np.exp(_overlap_exponent(a, -1.0)) * rest) @ w, "parity")
-    return min(max(val, -1.0), 1.0)
+    val = _real_part(_pair_sum(w, np.exp(_overlap_exponent(a, -1.0)) * rest), "parity")
+    return np.clip(val, -1.0, 1.0) if isinstance(val, np.ndarray) else min(max(val, -1.0), 1.0)
 
 
-def z_expectation(out: FourModeOutput) -> float:
-    """<Z> = P(0), the vacuum-projector expectation at port a."""
-    return float(_photon_probabilities(*_pair_data(out), 0)[0])
+def z_expectation(out: FourModeOutput):
+    """<Z> = P(0), the vacuum-projector expectation at port a; one value per phase over P phases."""
+    p0 = _photon_probabilities(*_pair_data(out), 0)[0]
+    return p0 if p0.ndim else float(p0)
 
 
 def expectation_derivative(
@@ -177,12 +200,17 @@ def expectation(state_a: SuperposedState, state_b: SuperposedState, config: MziC
 
 def expectation_evaluator(
     state_a: SuperposedState, state_b: SuperposedState, scheme: Scheme, loss_r: float = 0.0
-) -> Callable[[float], float]:
-    """<Pi> or <Z> as a function of one phase, with the input pairs built once."""
-    weights, amps_in = _input_pairs(state_a, state_b)
+) -> Callable:
+    """<Pi> or <Z> as a function of the phase, with the input pairs built once.
 
-    def evaluate(phi: float) -> float:
-        out = _output(weights, amps_in, MziConfig(phi=phi, loss_r=loss_r))
+    A float gives a float; a 1-D array of phases gives an array, each element
+    bit-identical to the float call at that phase.
+    """
+    weights, amps_in = _input_pairs(state_a, state_b)
+    loss_r = _check_loss(loss_r)
+
+    def evaluate(phi):
+        out = _output(weights, amps_in, _check_phase(phi), loss_r)
         return parity_expectation(out) if scheme is Scheme.PARITY else z_expectation(out)
 
     return evaluate
@@ -194,11 +222,13 @@ def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: fl
     Both have shape (K, M, P): rows 0 and :func:`_traced_modes` of the transfer
     matrix and its derivative applied to the (K, 2) input amplitudes at every phase.
     """
-    matrix, derivative = mode_transform(phis, loss_r)
     rows = [0, *_traced_modes(loss_r)]
     aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
-    u = aa * matrix[rows, 0] + ab * matrix[rows, 1]
-    return u, (aa * derivative[rows, 0] + ab * derivative[rows, 1] if want_derivative else None)
+    apply = lambda m: aa * m[rows, 0] + ab * m[rows, 1]
+    if not want_derivative:
+        return apply(_transfer_matrix(phis, loss_r)), None
+    matrix, derivative = _transfer_matrix(phis, loss_r, with_derivative=True)
+    return apply(matrix), apply(derivative)
 
 
 def _curve_values(w, u, du, scheme: Scheme):
@@ -236,7 +266,7 @@ def _real_sums(terms: np.ndarray, what: str) -> np.ndarray:
 def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
     """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,)."""
     w, amps_in = _input_pairs(state_a, state_b)
-    phis = _check_phase(np.asarray(phis, dtype=float))
+    phis = _check_phase(phis)
     loss_r = _check_loss(loss_r)
     values = np.empty(phis.shape)
     slopes = np.empty(phis.shape) if want_derivative else None

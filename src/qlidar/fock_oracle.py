@@ -178,11 +178,10 @@ def _apply_phase(psi: np.ndarray, cutoff: int, phi: float) -> np.ndarray:
 
 def _kraus_factor(k: int, loss_r: float, length: int) -> np.ndarray:
     """K_k amplitude on the output index n: sqrt(C(n+k, k)) t^n r^k."""
-    t = math.sqrt(max(0.0, 1.0 - loss_r**2))
     n = np.arange(length)
     lg = _lgamma_table(length - 1 + k)
     logc = 0.5 * (lg[n + k] - lg[n] - lg[k])
-    logt = n * math.log(t) if t > 0 else np.where(n == 0, 0.0, -np.inf)
+    logt = n * math.log(math.sqrt(1.0 - loss_r**2))
     logr = k * math.log(loss_r) if loss_r > 0 else (0.0 if k == 0 else -math.inf)
     return np.exp(logc + logt + logr)
 

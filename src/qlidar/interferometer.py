@@ -20,9 +20,10 @@ from .states import SuperposedState
 
 
 def _check_phase(phi):
-    """Return ``phi`` (a phase or an array of phases) unless some value is not finite."""
-    finite = math.isfinite(phi) if isinstance(phi, float) else np.all(np.isfinite(phi))
-    if not finite:
+    """Return a float ``phi``, or any other phases as a float array, unless some value is not finite."""
+    if not isinstance(phi, float):
+        phi = np.asarray(phi, dtype=float)
+    if not (math.isfinite(phi) if isinstance(phi, float) else np.isfinite(phi).all()):
         raise ValueError("phi must be finite")
     return phi
 
@@ -54,53 +55,62 @@ class MziConfig:
 
     @property
     def loss_t(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.loss_r**2))
+        return math.sqrt(1.0 - self.loss_r**2)
 
     @classmethod
     def lossless(cls, phi: float) -> "MziConfig":
         return cls(phi=phi, loss_r=0.0)
 
 
-def mode_transform(phi, loss_r: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """4x2 amplitude transfer matrix of the full interferometer and its phi derivative.
+def _transfer_matrix(phi, loss_r: float, with_derivative: bool = False):
+    """4x2 amplitude transfer matrix of the full interferometer; shape (4, 2, P) for an array of P phases.
 
     Columns act on the input amplitudes (port a, port b); rows give the output
     amplitudes at (port a, port b, env a, env b).  Both 50:50 splitters use
     the i-on-reflection convention, the phase e^{i phi} sits in arm a, and the
     loss splitters act after it.  The matrix is an isometry: photon number is
-    conserved across the four modes.  For an array of P phases both results
-    have shape (4, 2, P).
+    conserved across the four modes.  With ``with_derivative`` the result is
+    the pair (matrix, its phi derivative).
     """
-    t = math.sqrt(max(0.0, 1.0 - loss_r**2))
+    t = math.sqrt(1.0 - loss_r**2)
     half = np.exp(0.5j * phi)
     full = np.exp(1j * phi)
     theta = 1j * t * half * np.sin(0.5 * phi)  # arm interference, sine part
     sigma = 1j * t * half * np.cos(0.5 * phi)  # arm interference, cosine part
     rbar = 1j * loss_r / math.sqrt(2.0)
+    matrix = np.empty((4, 2) + np.shape(phi), dtype=complex)
+    matrix[0, 0], matrix[0, 1] = theta, sigma
+    matrix[1, 0], matrix[1, 1] = sigma, -theta
+    matrix[2, 0], matrix[2, 1] = rbar * full, 1j * rbar * full
+    matrix[3, 0], matrix[3, 1] = 1j * rbar, rbar
+    if not with_derivative:
+        return matrix
     dtheta = 0.5j * t * full
     dsigma = -0.5 * t * full
-    matrix = np.empty((4, 2) + np.shape(phi), dtype=complex)
     derivative = np.zeros_like(matrix)
-    matrix[0, 0], matrix[0, 1], derivative[0, 0], derivative[0, 1] = theta, sigma, dtheta, dsigma
-    matrix[1, 0], matrix[1, 1], derivative[1, 0], derivative[1, 1] = sigma, -theta, dsigma, -dtheta
-    matrix[2, 0], matrix[2, 1] = rbar * full, 1j * rbar * full
+    derivative[0, 0], derivative[0, 1] = dtheta, dsigma
+    derivative[1, 0], derivative[1, 1] = dsigma, -dtheta
     derivative[2, 0], derivative[2, 1] = 1j * rbar * full, -rbar * full
-    matrix[3, 0], matrix[3, 1] = 1j * rbar, rbar
     return matrix, derivative
+
+
+def mode_transform(phi, loss_r: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x2 transfer matrix of :func:`_transfer_matrix` and its phi derivative, both (4, 2, P) over P phases."""
+    return _transfer_matrix(phi, loss_r, with_derivative=True)
 
 
 @dataclass(frozen=True)
 class FourModeOutput:
-    """Output superposition over (port a, port b, env a, env b).
+    """Output superposition over (port a, port b, env a, env b) at the loss reflectivity ``loss_r``.
 
-    ``weights`` has shape (K,) and ``amplitudes`` shape (K, 4): term k is the
-    coherent product with mode amplitudes ``amplitudes[k]`` and weight
-    ``weights[k]``.
+    ``weights`` has shape (K,) and ``amplitudes`` shape (K, 4), or (P, K, 4)
+    with a leading axis over P phases: term k is the coherent product with
+    mode amplitudes ``amplitudes[..., k, :]`` and weight ``weights[k]``.
     """
 
     weights: np.ndarray
     amplitudes: np.ndarray
-    config: MziConfig
+    loss_r: float
 
 
 def _input_pairs(state_a: SuperposedState, state_b: SuperposedState) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +132,16 @@ def propagate(state_a: SuperposedState, state_b: SuperposedState, config: MziCon
     The output has len(a) * len(b) terms; each term's four amplitudes are the
     transfer matrix applied to the input amplitude pair, weights multiply.
     """
-    return _output(*_input_pairs(state_a, state_b), config)
+    return _output(*_input_pairs(state_a, state_b), config.phi, config.loss_r)
 
 
-def _output(weights: np.ndarray, amps_in: np.ndarray, config: MziConfig) -> FourModeOutput:
-    """The transfer matrix applied to each (K, 2) input pair; weights pass through."""
-    return FourModeOutput(weights, amps_in @ mode_transform(config.phi, config.loss_r)[0].T, config)
+def _output(weights: np.ndarray, amps_in: np.ndarray, phi, loss_r: float) -> FourModeOutput:
+    """The transfer matrix at phi, a float or a 1-D array of P phases, applied to each (K, 2) input pair.
+
+    Each phase is the one-phase matrix product over its own contiguous (4, 2)
+    block, so its amplitudes are bit-identical to the one-phase call.
+    """
+    matrix = _transfer_matrix(phi, loss_r)
+    if matrix.ndim == 3:
+        matrix = np.ascontiguousarray(np.moveaxis(matrix, -1, 0))
+    return FourModeOutput(weights, amps_in @ matrix.swapaxes(-1, -2), loss_r)

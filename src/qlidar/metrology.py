@@ -6,6 +6,12 @@ error propagation of the binary observables against the shot-noise floor
 1/sqrt(total input photons).  Curves carry an evaluator of the continuous
 observable so crossing and extremum positions can be refined well below the
 sampling step.
+
+The evaluator contract: a float phase gives a float, and a 1-D array of
+phases gives an array of the values at those phases.  Searches that do not
+depend on each other (the peaks of one window, the two crossings of one
+width) run in lockstep: each step evaluates the points of all unfinished
+searches in one array call, and a float call when one point is left.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ class SignalCurve:
     phis: np.ndarray
     values: np.ndarray
     scheme: Scheme
-    evaluator: Callable[[float], float] | None = None
+    evaluator: Callable | None = None  # a float gives a float, a 1-D array of phases an array
 
     def __post_init__(self):
         phis = np.asarray(self.phis, dtype=float)
@@ -141,35 +147,58 @@ def sensitivity_curve(
     return [SensitivityPoint(phi=phi, delta_phi=d, snl=floor) for phi, d in zip(phis.tolist(), delta_phi.tolist())]
 
 
-def _golden_extremum(f: Callable[[float], float], lo: float, hi: float, tol: float = REFINE_TOL) -> float:
-    """Golden-section maximizer of f on [lo, hi]."""
-    a, b = lo, hi
+def _lockstep(f: Callable, searches: list) -> list:
+    """Run search generators side by side and return their results in order.
+
+    A search yields a tuple of points, is sent the tuple of values of f
+    there, and returns its result.  Each step makes one call of f on the
+    points of every unfinished search: a float call for a single point, an
+    array call otherwise.  So each search sees the values it would see alone.
+    """
+    results = [None] * len(searches)
+    replies = dict.fromkeys(range(len(searches)))
+    while replies:
+        asks = {}
+        for k, reply in replies.items():
+            try:
+                asks[k] = searches[k].send(reply)
+            except StopIteration as stop:
+                results[k] = stop.value
+        if not asks:
+            break
+        points = [float(x) for pts in asks.values() for x in pts]
+        values = iter([f(points[0])] if len(points) == 1 else f(np.array(points)).tolist())
+        replies = {k: tuple(next(values) for _ in pts) for k, pts in asks.items()}
+    return results
+
+
+def _golden_search(lo: float, hi: float, tol: float = REFINE_TOL):
+    """Golden-section maximizer on [lo, hi], as a search for :func:`_lockstep`."""
+    a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = yield c, d
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = f(c)
+            (fc,) = yield (c,)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = f(d)
+            (fd,) = yield (d,)
     return 0.5 * (a + b)
 
 
-def _bisect_crossing(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float = REFINE_TOL
-) -> float:
-    """Bisection root of f on [lo, hi], whose end values flo = f(lo), fhi = f(hi) differ in sign."""
+def _bisect_search(lo: float, hi: float, flo: float, fhi: float, tol: float = REFINE_TOL):
+    """Bisection root on [lo, hi], whose end values flo and fhi differ in sign, as a search for :func:`_lockstep`."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        (fm,) = yield (mid,)
         if fm == 0.0:
             return mid
         if (fm < 0.0) == (flo < 0.0):
@@ -187,17 +216,8 @@ def _interior_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def fwhm(curve: SignalCurve, baseline: float | None = None) -> float:
-    """Full width at half maximum of the principal fringe, in radians.
-
-    The principal peak is the interior extremum farthest from the baseline;
-    by default the baseline is the curve minimum for upright peaks and the
-    maximum for inverted ones (upright preferred on ties), but an explicit
-    value may be supplied (e.g. the zero line of a parity signal).  The half
-    level sits midway between peak and baseline, and both crossings are
-    refined by bisection on the continuous observable.
-    """
-    phis, values = curve.phis, curve.values
+def _principal_peak(values: np.ndarray, baseline: float | None) -> tuple[int, float, float]:
+    """Sample index, sign (1 upright, -1 inverted) and baseline of the principal fringe; see :func:`fwhm`."""
     maxima, minima = _interior_extrema(values)
     if not len(maxima) and not len(minima):
         raise NoPeak("curve is monotone over its domain")
@@ -218,45 +238,108 @@ def fwhm(curve: SignalCurve, baseline: float | None = None) -> float:
     best_idx = down_idx if inverted else up_idx
     if best_idx is None or (not inverted and up_dev <= 0.0) or (inverted and down_dev <= 0.0):
         raise NoPeak("no extremum stands out from the baseline")
-    sign = -1.0 if inverted else 1.0
-    baseline = base_down if inverted else base_up
+    return (best_idx, -1.0, base_down) if inverted else (best_idx, 1.0, base_up)
 
+
+def _crossing_search(phis: np.ndarray, above: np.ndarray, best_idx: int, step: int):
+    """Half-level crossing on one side of the peak, as a search for :func:`_lockstep` on the signed level.
+
+    ``above`` marks the samples on the peak's side of the half level.  The
+    bracket starts at the first sample pair around the half level on this
+    side of the peak.  Near a flat crossing the evaluator can put a sample on
+    the other side in the last bit; then widen one sample at a time past
+    whichever end it puts on the wrong side until the bracket changes sign.
+    """
+    run = above[best_idx + 1 :] if step > 0 else above[best_idx - 1 :: -1]
+    below = np.flatnonzero(~run)
+    inside = best_idx + step * (int(below[0]) if len(below) else len(run))
+    outside = inside + step
+    while True:
+        if not (0 <= inside < len(phis) and 0 <= outside < len(phis)):
+            raise NoPeak("half level is never crossed on both sides of the peak")
+        g_in, g_out = yield phis[inside], phis[outside]
+        if g_in == 0.0 or g_out == 0.0 or (g_in < 0.0) != (g_out < 0.0):
+            break
+        if g_in < 0.0:
+            inside -= step
+        else:
+            outside += step
+    if step > 0:
+        return (yield from _bisect_search(phis[inside], phis[outside], g_in, g_out))
+    return (yield from _bisect_search(phis[outside], phis[inside], g_out, g_in))
+
+
+def fwhm(curve: SignalCurve, baseline: float | None = None) -> float:
+    """Full width at half maximum of the principal fringe, in radians.
+
+    The principal peak is the interior extremum farthest from the baseline;
+    by default the baseline is the curve minimum for upright peaks and the
+    maximum for inverted ones (upright preferred on ties), but an explicit
+    value may be supplied (e.g. the zero line of a parity signal).  The half
+    level sits midway between peak and baseline, and both crossings are
+    refined together by bisection on the continuous observable.
+    """
+    phis, values = curve.phis, curve.values
+    best_idx, sign, baseline = _principal_peak(values, baseline)
     if curve.evaluator is not None:
         f = curve.evaluator
-        peak_phi = _golden_extremum(lambda x: sign * f(x), phis[best_idx - 1], phis[best_idx + 1])
+        (peak_phi,) = _lockstep(lambda x: sign * f(x), [_golden_search(phis[best_idx - 1], phis[best_idx + 1])])
         peak_val = f(peak_phi)
     else:
-        f = lambda x: float(np.interp(x, phis, values))
+        f = lambda x: np.interp(x, phis, values)
         peak_phi, peak_val = float(phis[best_idx]), float(values[best_idx])
 
     half = 0.5 * (peak_val + baseline)
-    level = lambda x: sign * (f(x) - half)
-
-    def crossing(step: int) -> float:
-        # Start from the first sample pair around the half level on this side
-        # of the peak.  Near a flat crossing the evaluator can put a sample on
-        # the other side in the last bit; then widen one sample at a time past
-        # whichever end it puts on the wrong side until the bracket changes sign.
-        inside = best_idx
-        while 0 <= inside + step < len(values) and sign * (values[inside + step] - half) >= 0.0:
-            inside += step
-        outside = inside + step
-        while True:
-            if not (0 <= inside < len(values) and 0 <= outside < len(values)):
-                raise NoPeak("half level is never crossed on both sides of the peak")
-            g_in, g_out = level(phis[inside]), level(phis[outside])
-            if g_in == 0.0 or g_out == 0.0 or (g_in < 0.0) != (g_out < 0.0):
-                break
-            if g_in < 0.0:
-                inside -= step
-            else:
-                outside += step
-        if step > 0:
-            return _bisect_crossing(level, phis[inside], phis[outside], g_in, g_out)
-        return _bisect_crossing(level, phis[outside], phis[inside], g_out, g_in)
-
-    left, right = crossing(-1), crossing(1)
+    above = sign * (values - half) >= 0.0
+    searches = [_crossing_search(phis, above, best_idx, step) for step in (-1, 1)]
+    left, right = _lockstep(lambda x: sign * (f(x) - half), searches)
     return float(right - left)
+
+
+def _raw_peaks(curve: SignalCurve, lo: float, hi: float, side: str, midline, threshold: float):
+    """Sample indices of the one-sided peaks of a curve and the midline they are measured from; see peak_locations."""
+    if side not in ("upper", "lower", "folded"):
+        raise ValueError("side must be 'upper', 'lower' or 'folded'")
+    if not hi > lo:
+        raise ValueError("window must have positive width")
+    if curve.samples_per_period() < 1000:
+        raise ValueError("peak counting needs at least 1000 samples per period")
+    phis, values = curve.phis, curve.values
+    n = len(phis)
+    periodic = abs(curve.span + (phis[1] - phis[0]) - TWO_PI) < 1e-9
+
+    if midline is None:
+        shifted = (phis - lo) % TWO_PI
+        in_window = shifted <= (hi - lo) % TWO_PI if (hi - lo) < TWO_PI else np.ones(n, bool)
+        if not np.any(in_window):
+            return np.empty(0, int), 0.0
+        windowed = values[in_window]
+        mid = 0.5 * (float(np.max(windowed)) + float(np.min(windowed)))
+    else:
+        mid = float(midline)
+
+    if side == "upper":
+        signal = values - mid
+    elif side == "lower":
+        signal = mid - values
+    else:
+        signal = np.abs(values - mid)
+
+    peaks = (signal > np.roll(signal, 1)) & (signal > np.roll(signal, -1)) & (signal > threshold)
+    if not periodic:
+        peaks[[0, -1]] = False
+    return np.flatnonzero(peaks), mid
+
+
+def _in_window(positions, lo: float, hi: float) -> list[float]:
+    """Positions mapped into [lo, lo + 2 pi), keeping those inside the window, sorted."""
+    width = hi - lo
+    result = []
+    for phi0 in positions:
+        mapped = lo + ((phi0 - lo) % TWO_PI)
+        if mapped <= hi or (width >= TWO_PI - 1e-12):
+            result.append(mapped)
+    return sorted(result)
 
 
 def peak_locations(
@@ -273,62 +356,22 @@ def peak_locations(
     minima below it ("lower"), or extrema of the distance from the midline
     ("folded", which sees an inverted fringe as a peak).  ``midline``
     defaults to the mid-range of the windowed samples; peaks closer to the
-    midline than ``threshold`` are ignored as noise.
+    midline than ``threshold`` are ignored as noise.  All peaks are refined
+    together, one golden-section search each.
     """
-    if side not in ("upper", "lower", "folded"):
-        raise ValueError("side must be 'upper', 'lower' or 'folded'")
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must have positive width")
-    if curve.samples_per_period() < 1000:
-        raise ValueError("peak counting needs at least 1000 samples per period")
-    phis, values = curve.phis, curve.values
-    n = len(phis)
-    periodic = abs(curve.span + (phis[1] - phis[0]) - TWO_PI) < 1e-9
-
-    if midline is None:
-        shifted = (phis - lo) % TWO_PI
-        in_window = shifted <= (hi - lo) % TWO_PI if (hi - lo) < TWO_PI else np.ones(n, bool)
-        if not np.any(in_window):
-            return []
-        windowed = values[in_window]
-        mid = 0.5 * (float(np.max(windowed)) + float(np.min(windowed)))
-    else:
-        mid = float(midline)
-
+    raw, mid = _raw_peaks(curve, lo, hi, side, midline, threshold)
+    phis, f = curve.phis, curve.evaluator
+    if f is None:
+        return _in_window([float(phis[i]) for i in raw], lo, hi)
+    step = phis[1] - phis[0]
     if side == "upper":
-        signal = values - mid
+        g = f
     elif side == "lower":
-        signal = mid - values
+        g = lambda x: -f(x)
     else:
-        signal = np.abs(values - mid)
-
-    peaks = (signal > np.roll(signal, 1)) & (signal > np.roll(signal, -1)) & (signal > threshold)
-    if not periodic:
-        peaks[[0, -1]] = False
-    raw = np.flatnonzero(peaks)
-
-    positions = []
-    for i in raw:
-        phi0 = float(phis[i])
-        if curve.evaluator is not None:
-            step = phis[1] - phis[0]
-            if side == "upper":
-                g = curve.evaluator
-            elif side == "lower":
-                g = lambda x: -curve.evaluator(x)
-            else:
-                g = lambda x: abs(curve.evaluator(x) - mid)
-            phi0 = _golden_extremum(g, phi0 - step, phi0 + step)
-        positions.append(phi0)
-
-    width = hi - lo
-    result = []
-    for phi0 in positions:
-        mapped = lo + ((phi0 - lo) % TWO_PI)
-        if mapped <= hi or (width >= TWO_PI - 1e-12):
-            result.append(mapped)
-    return sorted(result)
+        g = lambda x: np.abs(f(x) - mid)
+    return _in_window(_lockstep(g, [_golden_search(phis[i] - step, phis[i] + step) for i in raw]), lo, hi)
 
 
 def peak_count(

@@ -5,9 +5,11 @@ signal, the dense triangular-basis form of the Fock splitter, the
 cell-by-cell row writer that the CLI's column writer must reproduce, the
 pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
-forms must reproduce, and the pair sums over all four output modes that the
+forms must reproduce, the pair sums over all four output modes that the
 engine, which skips the vacuum loss environments at zero loss, must reproduce
-bit for bit.
+bit for bit, and the one-search-at-a-time golden-section, crossing walk and
+bisection refinements whose widths and peak positions the lockstep searches
+must reproduce exactly.
 """
 
 import json
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from qlidar import detection
+from qlidar import metrology as met
 from qlidar import fock_oracle as fo
 from qlidar.detection import Scheme
 from qlidar.interferometer import FourModeOutput, _input_pairs, mode_transform, propagate
@@ -224,3 +227,98 @@ def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
         )
     terms = (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
     return detection._real_sums(terms, "curve"), detection._real_sums(terms * dexp, "slope curve")
+
+
+def reference_golden_extremum(f, lo: float, hi: float, tol: float = met.REFINE_TOL) -> float:
+    """Golden-section maximizer of f on [lo, hi], one float call of f per step."""
+    a, b = lo, hi
+    c = b - met.GOLDEN * (b - a)
+    d = a + met.GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - met.GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + met.GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_bisect_crossing(f, lo: float, hi: float, flo: float, fhi: float, tol: float = met.REFINE_TOL) -> float:
+    """Bisection root of f on [lo, hi], whose end values flo = f(lo), fhi = f(hi) differ in sign."""
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_crossing(phis, values, best_idx: int, sign: float, half: float, level, step: int) -> float:
+    """Half-level crossing on one side of the peak: a per-sample walk to the bracket, then bisection."""
+    inside = best_idx
+    while 0 <= inside + step < len(values) and sign * (values[inside + step] - half) >= 0.0:
+        inside += step
+    outside = inside + step
+    while True:
+        if not (0 <= inside < len(values) and 0 <= outside < len(values)):
+            raise met.NoPeak("half level is never crossed on both sides of the peak")
+        g_in, g_out = level(phis[inside]), level(phis[outside])
+        if g_in == 0.0 or g_out == 0.0 or (g_in < 0.0) != (g_out < 0.0):
+            break
+        if g_in < 0.0:
+            inside -= step
+        else:
+            outside += step
+    if step > 0:
+        return reference_bisect_crossing(level, phis[inside], phis[outside], g_in, g_out)
+    return reference_bisect_crossing(level, phis[outside], phis[inside], g_out, g_in)
+
+
+def reference_fwhm(curve, baseline=None) -> float:
+    """met.fwhm with each search run on its own, one float call of the evaluator at a time."""
+    phis, values = curve.phis, curve.values
+    best_idx, sign, baseline = met._principal_peak(values, baseline)
+    if curve.evaluator is not None:
+        f = curve.evaluator
+        peak_phi = reference_golden_extremum(lambda x: sign * f(x), phis[best_idx - 1], phis[best_idx + 1])
+        peak_val = f(peak_phi)
+    else:
+        f = lambda x: float(np.interp(x, phis, values))
+        peak_phi, peak_val = float(phis[best_idx]), float(values[best_idx])
+    half = 0.5 * (peak_val + baseline)
+    level = lambda x: sign * (f(x) - half)
+    left = reference_crossing(phis, values, best_idx, sign, half, level, -1)
+    right = reference_crossing(phis, values, best_idx, sign, half, level, 1)
+    return float(right - left)
+
+
+def reference_peak_locations(curve, window, side="upper", midline=None, threshold=met.PEAK_NOISE_THRESHOLD):
+    """met.peak_locations with one golden-section search per peak, run one after another."""
+    lo, hi = float(window[0]), float(window[1])
+    raw, mid = met._raw_peaks(curve, lo, hi, side, midline, threshold)
+    positions = []
+    for i in raw:
+        phi0 = float(curve.phis[i])
+        if curve.evaluator is not None:
+            step = curve.phis[1] - curve.phis[0]
+            if side == "upper":
+                g = curve.evaluator
+            elif side == "lower":
+                g = lambda x: -curve.evaluator(x)
+            else:
+                g = lambda x: abs(curve.evaluator(x) - mid)
+            phi0 = reference_golden_extremum(g, phi0 - step, phi0 + step)
+        positions.append(phi0)
+    return met._in_window(positions, lo, hi)
