@@ -24,10 +24,8 @@ import numpy as np
 
 from . import detection, fock_oracle, metrology, wigner
 from .detection import Scheme
-from .fock_oracle import CutoffTooSmall
 from .interferometer import MziConfig, _check_loss, _check_phase, propagate
-from .metrology import NoPeak
-from .states import DegenerateState, StateKind, SuperposedState, make_state, vacuum
+from .states import StateKind, SuperposedState, make_state, vacuum
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
@@ -36,6 +34,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 ORACLE_TOLERANCE = 1e-8
+MAX_ROWS = wigner.MAX_RESOLUTION**2  # grid steps of any sweep: no more rows than the largest wigner grid
 
 SIX_STATES = ("cs", "ecss", "mps0", "mps1", "mps2", "mps3")
 
@@ -95,9 +94,13 @@ def _parse_state(kind_name: str, amplitude: complex | None = None, energy: float
     return make_state(kind, amplitude)
 
 
+def _check_steps(flag: str, steps: int, least: int) -> None:
+    if not least <= steps <= MAX_ROWS:
+        raise InvalidSpec(f"{flag} must lie in [{least}, {MAX_ROWS}]")
+
+
 def _phi_grid(spec) -> np.ndarray:
-    if spec.phi_steps < 2:
-        raise InvalidSpec("phi-steps must be at least 2")
+    _check_steps("phi-steps", spec.phi_steps, 2)
     _check_phase(np.array([spec.phi_min, spec.phi_max]))
     if not spec.phi_max > spec.phi_min:
         raise InvalidSpec("phi-max must exceed phi-min")
@@ -137,8 +140,7 @@ def cmd_sensitivity(spec) -> int:
 
 
 def cmd_fwhm(spec) -> int:
-    if spec.alpha2_steps < 1:
-        raise InvalidSpec("alpha2-steps must be at least 1")
+    _check_steps("alpha2-steps", spec.alpha2_steps, 1)
     if spec.alpha2_min <= 0 or spec.alpha2_max < spec.alpha2_min:
         raise InvalidSpec("alpha2 grid must be positive and increasing")
     scheme = Scheme.parse(spec.scheme)
@@ -175,8 +177,7 @@ def cmd_wigner(spec) -> int:
 
 
 def cmd_loss(spec) -> int:
-    if spec.r_steps < 1:
-        raise InvalidSpec("r-steps must be at least 1")
+    _check_steps("r-steps", spec.r_steps, 1)
     if not spec.r_min <= spec.r_max:  # metrology.loss_sweep checks the range of every value
         raise InvalidSpec("loss grid must satisfy r-min <= r-max")
     state_a = _parse_state(spec.state_a, energy=spec.alpha2)
@@ -371,8 +372,8 @@ def main(argv=None) -> int:
             spec = parser.parse_args(argv)
         _check_mode_flags(spec, argv)
         return _COMMANDS[spec.command][0](spec)
-    # before the ValueError clause: NoPeak, DegenerateState and CutoffTooSmall subclass ValueError
-    except (ArithmeticError, NoPeak, DegenerateState, CutoffTooSmall) as exc:
+    # before the ValueError clause: NoPeak, DegenerateState and CutoffTooSmall are both
+    except ArithmeticError as exc:
         print(f"numerical limit: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:

@@ -11,8 +11,9 @@ are exactly 0 and their overlaps exactly 1, so the product runs over b alone
 
 Parity uses <a|Pi|b> = <a|-b>, the zero/nonzero scheme uses the vacuum
 projector, and P(n) the number-state projector.  Pair sums are Hermitian by
-construction, so the imaginary residue is asserted small and dropped rather
-than silently discarded.
+construction, so every sum, scalar or curve, goes through the one residue check
+:func:`~qlidar.states._real_part` rather than silently dropping its imaginary
+part.
 
 Parity and Z also take an output with a leading axis over P phases.  Each
 phase's sum is the gemv and dot of a one-phase sum over its own contiguous
@@ -29,9 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .interferometer import FourModeOutput, MziConfig, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
-from .states import CoherentOperator, SuperposedState, _overlap_exponent
+from .states import IMAG_RESIDUE_TOL, CoherentOperator, SuperposedState, _overlap_exponent, _real_part
 
-IMAG_RESIDUE_TOL = 1e-12
 NEGATIVE_PROBABILITY_TOL = -1e-10
 CURVE_CHUNK = 1024  # phases per (K, K, P) pair block of a curve sweep
 
@@ -63,16 +63,11 @@ class PortDistribution:
     tail_bound: float
 
 
-def _real_part(value, what: str):
-    """Real part of a complex sum, or of an array of sums, unless an imaginary residue exceeds its tolerance."""
-    if isinstance(value, np.ndarray):
-        bad = np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
-        if bad.any():
-            _real_part(value[np.argmax(bad)], what)  # raises as the one-phase call does
-        return value.real
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def _one_phase(out: FourModeOutput) -> FourModeOutput:
+    """``out`` unless it carries a leading phase axis, which only parity and Z take."""
+    if out.amplitudes.ndim != 2:
+        raise ValueError("P(n), its cutoff and the reduced port-a state take a one-phase output of shape (K, 4)")
+    return out
 
 
 def _traced_modes(loss_r: float) -> tuple[int, ...]:
@@ -136,12 +131,12 @@ def photon_probability(out: FourModeOutput, n: int) -> float:
     """Probability of counting exactly n photons at port a."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    return float(_photon_probabilities(*_pair_data(out), n)[n])
+    return float(_photon_probabilities(*_pair_data(_one_phase(out)), n)[n])
 
 
 def default_cutoff(out: FourModeOutput) -> int:
     """Truncation making the port-a Poisson tails negligible for every term."""
-    mean = float(np.max(np.abs(out.amplitudes[:, 0]) ** 2))
+    mean = float(np.max(np.abs(_one_phase(out).amplitudes[:, 0]) ** 2))
     return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0))
 
 
@@ -163,7 +158,7 @@ def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDis
     """P(n) for n = 0..cutoff with a Cauchy-Schwarz bound on the dropped tail."""
     if cutoff is None:
         cutoff = default_cutoff(out)
-    w, a, rest = _pair_data(out)
+    w, a, rest = _pair_data(_one_phase(out))
     probs = _photon_probabilities(w, a, rest, cutoff)
     tails = np.array([_poisson_tail_bound(float(lam), cutoff) for lam in np.abs(a) ** 2])
     bound = np.abs(np.conj(w)[:, None] * w[None, :] * rest) * np.sqrt(tails[:, None] * tails[None, :])
@@ -252,15 +247,8 @@ def _curve_values(w, u, du, scheme: Scheme):
             )
     pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
     terms = pair_w * np.exp(exponent)
-    return _real_sums(terms, "curve"), (None if du is None else _real_sums(terms * dexp, "slope curve"))
-
-
-def _real_sums(terms: np.ndarray, what: str) -> np.ndarray:
-    vals = np.sum(terms, axis=(0, 1))
-    residue = float(np.max(np.abs(vals.imag)))
-    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(vals.real)))):
-        raise ArithmeticError(f"{what} has imaginary residue {residue:.3e}")
-    return vals.real
+    values = _real_part(np.sum(terms, axis=(0, 1)), "curve")
+    return values, (None if du is None else _real_part(np.sum(terms * dexp, axis=(0, 1)), "slope curve"))
 
 
 def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
@@ -308,5 +296,5 @@ def expectation_derivative_curve(
 
 def reduced_port_a(out: FourModeOutput) -> CoherentOperator:
     """Reduced density operator of port a: coefficients conj(w_i) w_j times the traced-mode overlaps."""
-    w, a, rest = _pair_data(out)
+    w, a, rest = _pair_data(_one_phase(out))
     return CoherentOperator(np.conj(w)[:, None] * w[None, :] * rest, a)

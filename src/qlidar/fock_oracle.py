@@ -37,7 +37,7 @@ ENCODE_TAIL_LIMIT = 1e-10
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-class CutoffTooSmall(ValueError):
+class CutoffTooSmall(ValueError, ArithmeticError):
     """The requested truncation drops more probability than allowed."""
 
 

@@ -35,7 +35,7 @@ ZERO_ENERGY_THRESHOLD = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class NoPeak(ValueError):
+class NoPeak(ValueError, ArithmeticError):
     """The curve has no interior extremum to measure."""
 
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CoherentOperator, SuperposedState, _overlap_exponent, density_operator
+from .states import CoherentOperator, SuperposedState, _overlap_exponent, _real_part, density_operator
 
 WIGNER_BOUND = 2.0 / math.pi
 BOUND_TOL = 1e-9
-IMAG_RESIDUE_TOL = 1e-12
 NEGLIGIBLE_COEFF = 1e-9  # pairs at or below this |C_ij| need no fringe sampling
 MAX_RESOLUTION = 1001  # points per axis: 1e6 grid values, about 60 MB as CLI rows
 
@@ -73,10 +72,7 @@ def _evaluate(op: CoherentOperator, y1: np.ndarray, y2: np.ndarray) -> np.ndarra
     g = np.exp(-2.0 * (y2[:, None] - m.imag) ** 2 - 2j * d.real * y2[:, None])
     # einsum without optimize makes no BLAS call, so values do not depend on the BLAS thread count
     total = np.einsum("ip,jp->ij", f * op.coeffs[i, j], g)
-    residue = float(np.max(np.abs(total.imag)))
-    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.max(np.abs(total.real)))):
-        raise ArithmeticError(f"Wigner values have imaginary residue {residue:.3e}")
-    return (2.0 / math.pi) * total.real
+    return (2.0 / math.pi) * _real_part(total, "Wigner grid")
 
 
 def wigner_point(state, lam: complex) -> float:

@@ -22,8 +22,7 @@ from qlidar import metrology as met
 from qlidar import fock_oracle as fo
 from qlidar.detection import Scheme
 from qlidar.interferometer import FourModeOutput, _input_pairs, mode_transform, propagate
-from qlidar.states import _overlap_exponent
-from qlidar.wigner import IMAG_RESIDUE_TOL
+from qlidar.states import IMAG_RESIDUE_TOL, _overlap_exponent, _real_part
 
 
 def _output_gram(out: FourModeOutput) -> np.ndarray:
@@ -202,7 +201,7 @@ def reference_expectation(state_a, state_b, config, scheme: Scheme) -> float:
     w, a, rest = reference_pair_data(propagate(state_a, state_b, config))
     if scheme is Scheme.Z:
         return float(reference_photon_probabilities(w, a, rest, 0)[0])
-    val = detection._real_part(np.conj(w) @ (np.exp(_overlap_exponent(a, -1.0)) * rest) @ w, "parity")
+    val = _real_part(np.conj(w) @ (np.exp(_overlap_exponent(a, -1.0)) * rest) @ w, "parity")
     return min(max(val, -1.0), 1.0)
 
 
@@ -226,7 +225,8 @@ def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
             np.conj(dum)[:, None, :] * um[None, :, :] + np.conj(um)[:, None, :] * dum[None, :, :]
         )
     terms = (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
-    return detection._real_sums(terms, "curve"), detection._real_sums(terms * dexp, "slope curve")
+    values, slopes = np.sum(terms, axis=(0, 1)), np.sum(terms * dexp, axis=(0, 1))
+    return _real_part(values, "curve"), _real_part(slopes, "slope curve")
 
 
 def reference_golden_extremum(f, lo: float, hi: float, tol: float = met.REFINE_TOL) -> float:

@@ -281,6 +281,26 @@ class TestSpecHandling:
         assert run_cli(["signal", "--state-a", "cs", "--phi-steps", "1"]) == cli.EXIT_INVALID_SPEC
 
     @pytest.mark.parametrize(
+        "command,flag,least",
+        [("signal", "--phi-steps", 2), ("sensitivity", "--phi-steps", 2), ("fwhm", "--alpha2-steps", 1), ("loss", "--r-steps", 1)],
+    )
+    def test_step_counts_bounded_before_allocation(self, command, flag, least, tmp_path, capsys, monkeypatch):
+        def no_grid(*a, **k):
+            raise AssertionError("grid allocated before the size check")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "x.csv"
+        assert run_cli([command, flag, str(10**12), "--out", str(out)]) == cli.EXIT_INVALID_SPEC
+        assert capsys.readouterr().err == f"invalid spec: {flag[2:]} must lie in [{least}, {cli.MAX_ROWS}]\n"
+        assert not out.exists()
+
+    def test_step_bound_is_the_largest_wigner_grid(self):
+        assert cli.MAX_ROWS == wigner.MAX_RESOLUTION**2
+        cli._check_steps("phi-steps", cli.MAX_ROWS, 2)
+        with pytest.raises(cli.InvalidSpec):
+            cli._check_steps("phi-steps", cli.MAX_ROWS + 1, 2)
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["wigner", "--window", "nan"],

@@ -16,7 +16,7 @@ from scipy.special import gammainc
 from qlidar import cli, detection, fock_oracle, metrology, wigner
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import StateKind, density_operator, make_state, vacuum
+from qlidar.states import IMAG_RESIDUE_TOL, StateKind, density_operator, make_state, vacuum
 
 from helpers import reference_fmt, reference_rows_text, reference_wigner
 
@@ -130,9 +130,19 @@ def wigner_grids(draw):
 @given(wigner_grids())
 def test_wigner_grid_matches_pointwise_reference(case):
     op, y1_range, y2_range, resolution = case
-    grid = wigner.wigner_grid(op, y1_range, y2_range, resolution)
-    lam = grid.y1_axis[:, None] + 1j * grid.y2_axis[None, :]
-    assert np.max(np.abs(grid.values - reference_wigner(op, lam))) <= 1e-13 * np.sum(np.abs(op.coeffs))
+    # pair terms of total size sum|C_ij| cancel, so rounding of that order is allowed
+    allowance = 1e-13 * np.sum(np.abs(op.coeffs))
+    try:
+        grid = wigner.wigner_grid(op, y1_range, y2_range, resolution)
+        lam = grid.y1_axis[:, None] + 1j * grid.y2_axis[None, :]
+        reference = reference_wigner(op, lam)
+    except ArithmeticError as exc:
+        if "imaginary residue" not in str(exc):
+            raise
+        # the residue check's absolute tolerance may fire only where the rounding allowed here exceeds it
+        assert allowance > IMAG_RESIDUE_TOL
+        return
+    assert np.max(np.abs(grid.values - reference)) <= allowance
 
 
 # cells whose spelling or bit pattern a value-keyed formatter could confuse
