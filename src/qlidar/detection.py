@@ -120,7 +120,8 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
     vals[1:] = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
     real = vals.real
-    bad = (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real))) | (real < NEGATIVE_PROBABILITY_TOL)
+    bad = ~np.isfinite(vals) | (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real)))
+    bad |= real < NEGATIVE_PROBABILITY_TOL
     if np.count_nonzero(bad):
         n = int(np.argmax(bad))  # the first offending photon number
         raise NegativeProbability(f"P({n}) = {_real_part(vals[n], f'P({n})'):.3e}")

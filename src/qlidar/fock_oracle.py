@@ -8,9 +8,8 @@ the state definitions are shared.
 
 Both arms lose photons through the same (t, r), and uniform loss commutes
 with passive linear optics, so :func:`simulate` runs the lossless pipeline
-and applies loss as binomial thinning of the port-a count.
-:func:`simulate_density` keeps the per-arm single-mode Kraus channel on an
-explicit density matrix as an independent cross-check of that identity.
+and applies loss as binomial thinning of the port-a count.  The tests check
+that identity against a per-arm Kraus channel on an explicit density matrix.
 
 The N-photon splitter block is i^j R[j, n] i^n with R a real Kravchuk matrix
 (Campos, Saleh & Teich, Phys. Rev. A 40, 1371, 1989).  R is built from exact
@@ -29,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interferometer import MziConfig, _check_loss
+from .interferometer import MziConfig
 from .states import SuperposedState
 
 ENCODE_TAIL_LIMIT = 1e-10
@@ -45,20 +44,8 @@ class CutoffTooSmall(ValueError, ArithmeticError):
 class FockVector:
     """Two-mode pure state on the triangle n_a + n_b <= cutoff."""
 
-    cutoff: int
     amplitudes: np.ndarray  # (cutoff+1, cutoff+1), zero beyond the triangle
     tail_bound: float
-
-
-@dataclass(frozen=True)
-class FockDensity:
-    """Two-mode density operator rho[n_a, n_b, m_a, m_b] on the same triangle."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.einsum("abab->", self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -70,12 +57,11 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _lgamma_cache(limit: int) -> tuple:
-    return tuple(math.lgamma(l + 1) for l in range(limit + 1))
-
-
 def _lgamma_table(limit: int) -> np.ndarray:
-    return np.array(_lgamma_cache(limit))
+    """log(l!) for l = 0..limit, cached and read-only."""
+    table = np.array([math.lgamma(l + 1) for l in range(limit + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -113,7 +99,7 @@ def encode(state_a: SuperposedState, state_b: SuperposedState, cutoff: int) -> F
     tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
     if tail > ENCODE_TAIL_LIMIT:
         raise CutoffTooSmall(f"norm deficit {tail:.3e} at cutoff {cutoff}")
-    return FockVector(cutoff=cutoff, amplitudes=psi, tail_bound=tail)
+    return FockVector(amplitudes=psi, tail_bound=tail)
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +130,6 @@ def _kravchuk_block(total: int) -> np.ndarray:
     return np.multiply(scale, np.array(rows, dtype=float).T, out=scale)
 
 
-def _bs_block(total: int) -> np.ndarray:
-    """Unitary of the 50:50 splitter on the N-photon subspace, <j, N-j|U|n, N-n> at [j, n]."""
-    phase = np.array(_PHASES)[np.arange(total + 1) % 4]
-    return phase[:, None] * _kravchuk_block(total) * phase[None, :]
-
-
 @lru_cache(maxsize=None)
 def _shell_order(cutoff: int):
     """Flat (n_a, n_b) index of the triangle in shell-major order, and i^(n_a) at each entry."""
@@ -157,62 +137,22 @@ def _shell_order(cutoff: int):
     return n_a * (cutoff + 1) + (totals - n_a), np.array(_PHASES)[n_a % 4]
 
 
-def _apply_beam_splitter(psi: np.ndarray, cutoff: int) -> np.ndarray:
-    """Apply the splitter on the last two axes (n_a, n_b), one real block matmul per shell."""
+def _apply_beam_splitter(psi: np.ndarray) -> np.ndarray:
+    """Apply the splitter to psi[n_a, n_b], one real block matmul per shell."""
+    cutoff = len(psi) - 1
     index, phase = _shell_order(cutoff)
-    lead = psi.shape[:-2]
-    shells = psi.reshape(*lead, -1).take(index, axis=-1) * phase
-    pairs = shells.view(float).reshape(*lead, len(index), 2)  # (re, im) of each entry, shells contiguous
+    shells = psi.reshape(-1).take(index) * phase
+    pairs = shells.view(float).reshape(len(index), 2)  # (re, im) of each entry, shells contiguous
     for total in range(cutoff + 1):
         part = slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
-        pairs[..., part, :] = _kravchuk_block(total) @ pairs[..., part, :]
-    out = np.zeros(lead + ((cutoff + 1) ** 2,), dtype=complex)
-    out[..., index] = shells * phase
+        pairs[part] = _kravchuk_block(total) @ pairs[part]
+    out = np.zeros(psi.size, dtype=complex)
+    out[index] = shells * phase
     return out.reshape(psi.shape)
 
 
-def _apply_phase(psi: np.ndarray, cutoff: int, phi: float) -> np.ndarray:
-    phase = np.exp(1j * phi * np.arange(cutoff + 1))
-    return psi * phase[:, None]
-
-
-def _kraus_factor(k: int, loss_r: float, length: int) -> np.ndarray:
-    """K_k amplitude on the output index n: sqrt(C(n+k, k)) t^n r^k."""
-    n = np.arange(length)
-    lg = _lgamma_table(length - 1 + k)
-    logc = 0.5 * (lg[n + k] - lg[n] - lg[k])
-    logt = n * math.log(math.sqrt(1.0 - loss_r**2))
-    logr = k * math.log(loss_r) if loss_r > 0 else (0.0 if k == 0 else -math.inf)
-    return np.exp(logc + logt + logr)
-
-
-def loss_channel(rho: FockDensity, arm: str, loss_r: float) -> FockDensity:
-    """Pure-loss channel with transmissivity t^2 = 1 - loss_r^2 on one arm."""
-    if arm not in ("a", "b"):
-        raise ValueError("arm must be 'a' or 'b'")
-    loss_r = _check_loss(loss_r)
-    if loss_r == 0.0:
-        return rho
-    cutoff = rho.cutoff
-    out = np.zeros_like(rho.matrix)
-    for k in range(cutoff + 1):
-        n = cutoff + 1 - k
-        fac = _kraus_factor(k, loss_r, n)
-        if arm == "a":
-            seg = rho.matrix[k:, :, k:, :]
-            out[:n, :, :n, :] += seg * fac[:, None, None, None] * fac[None, None, :, None]
-        else:
-            seg = rho.matrix[:, k:, :, k:]
-            out[:, :n, :, :n] += seg * fac[None, :, None, None] * fac[None, None, None, :]
-    return FockDensity(cutoff=cutoff, matrix=out)
-
-
-def _apply_bs_density(matrix: np.ndarray, cutoff: int) -> np.ndarray:
-    """U rho U^dag on a 4-axis density array (ket axes 0,1; bra axes 2,3)."""
-    ket = np.transpose(matrix, (2, 3, 0, 1))
-    ket = _apply_beam_splitter(ket, cutoff)
-    matrix = np.transpose(ket, (2, 3, 0, 1))
-    return np.conj(_apply_beam_splitter(np.conj(matrix), cutoff))
+def _apply_phase(psi: np.ndarray, phi: float) -> np.ndarray:
+    return psi * np.exp(1j * phi * np.arange(len(psi)))[:, None]
 
 
 def _thin(probs: np.ndarray, loss_t: float, loss_r: float) -> np.ndarray:
@@ -255,27 +195,8 @@ def simulate(
     if cutoff is None:
         cutoff = default_cutoff(state_a, state_b)
     vec = encode(state_a, state_b, cutoff)
-    psi = _apply_beam_splitter(vec.amplitudes, cutoff)
-    psi = _apply_phase(psi, cutoff, config.phi)
-    psi = _apply_beam_splitter(psi, cutoff)
+    psi = _apply_beam_splitter(vec.amplitudes)
+    psi = _apply_phase(psi, config.phi)
+    psi = _apply_beam_splitter(psi)
     probs = _thin(np.sum(np.abs(psi) ** 2, axis=1), config.loss_t, config.loss_r)
     return _result(probs, vec.tail_bound)
-
-
-def simulate_density(
-    state_a: SuperposedState,
-    state_b: SuperposedState,
-    config: MziConfig,
-    cutoff: int | None = None,
-) -> OracleResult:
-    """Per-arm Kraus loss on an explicit density matrix; cross-check path only."""
-    if cutoff is None:
-        cutoff = default_cutoff(state_a, state_b)
-    vec = encode(state_a, state_b, cutoff)
-    psi = _apply_beam_splitter(vec.amplitudes, cutoff)
-    psi = _apply_phase(psi, cutoff, config.phi)
-    rho = FockDensity(cutoff=cutoff, matrix=np.einsum("ab,cd->abcd", psi, np.conj(psi)))
-    rho = loss_channel(rho, "a", config.loss_r)
-    rho = loss_channel(rho, "b", config.loss_r)
-    final = _apply_bs_density(rho.matrix, cutoff)
-    return _result(np.einsum("abab->a", final).real, vec.tail_bound)

@@ -10,6 +10,7 @@ path serves every state kind; the per-kind closed forms live in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -25,18 +26,22 @@ class DegenerateState(ValueError, ArithmeticError):
 
 
 def _real_part(value, what: str):
-    """Real part of a complex sum, or of an array of sums, unless an imaginary residue exceeds its tolerance.
+    """Real part of a complex sum or of an array of sums that are finite with a small enough imaginary residue.
 
-    The package's one residue check.  Each sum may keep |imag| <= IMAG_RESIDUE_TOL * max(1, |real|);
-    an array whose largest residue is within IMAG_RESIDUE_TOL passes without the per-element test,
+    The package's one residue check.  Each sum must be finite and may keep
+    |imag| <= IMAG_RESIDUE_TOL * max(1, |real|); an array whose largest residue is within
+    IMAG_RESIDUE_TOL and whose real parts are all finite passes without the per-element test,
     and otherwise raises as the call on its first offending element does.
     """
     if isinstance(value, np.ndarray):
-        if np.max(np.abs(value.imag), initial=0.0) > IMAG_RESIDUE_TOL:
-            bad = np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
+        # NaN fails every comparison, so the pre-check asks for what passes
+        if not (np.max(np.abs(value.imag), initial=0.0) <= IMAG_RESIDUE_TOL and np.isfinite(value.real).all()):
+            bad = ~np.isfinite(value) | (np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real)))
             if bad.any():
                 _real_part(value.flat[np.argmax(bad)], what)
         return value.real
+    if not cmath.isfinite(value):
+        raise ArithmeticError(f"{what} is not finite: {complex(value)}")
     if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
         raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -121,6 +126,8 @@ def _gram(w: np.ndarray, a: np.ndarray) -> float:
 
 
 def _inverse_norm(total: float) -> float:
+    if not math.isfinite(total):
+        raise ArithmeticError(f"Gram sum is {total}")
     if total < GRAM_DEGENERACY_THRESHOLD:
         raise DegenerateState(f"Gram sum {total:.3e} below {GRAM_DEGENERACY_THRESHOLD:g}")
     return 1.0 / math.sqrt(total)

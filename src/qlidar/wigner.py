@@ -138,7 +138,7 @@ def wigner_grid(
     y2 = np.linspace(y2_range[0], y2_range[1], resolution)
     values = _evaluate(op, y1, y2)
     peak = float(np.max(np.abs(values)))
-    if peak > WIGNER_BOUND + BOUND_TOL:
+    if not peak <= WIGNER_BOUND + BOUND_TOL:  # NaN fails it too
         raise ArithmeticError(f"Wigner magnitude {peak:.6f} exceeds 2/pi")
     cell = (y1[1] - y1[0]) * (y2[1] - y2[0])
     return WignerGrid(y1_axis=y1, y2_axis=y2, values=values, cell_area=cell)

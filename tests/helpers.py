@@ -1,8 +1,10 @@
 """Reference quantities that only the tests need.
 
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
-signal, the dense triangular-basis form of the Fock splitter, the
-cell-by-cell row writer that the CLI's column writer must reproduce, the
+signal, the complex splitter blocks and their dense triangular-basis form,
+the per-arm Kraus loss channel on an explicit density matrix whose port-a
+counts the Fock oracle's binomial thinning must reproduce, the cell-by-cell
+row writer that the CLI's column writer must reproduce, the
 pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
 forms must reproduce, the pair sums over all four output modes that the
@@ -71,14 +73,57 @@ def triangle_dimension(cutoff: int) -> int:
     return (cutoff + 1) * (cutoff + 2) // 2
 
 
+def triangle_occupations(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_a, n_b) at each position of the flattened triangular basis."""
+    n_a, n_b = np.array([(n, total - n) for total in range(cutoff + 1) for n in range(total + 1)]).T
+    return n_a, n_b
+
+
+def bs_block(total: int) -> np.ndarray:
+    """Unitary of the 50:50 splitter on the N-photon subspace, <j, N-j|U|n, N-n> at [j, n]."""
+    phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(total + 1) % 4]
+    return phase[:, None] * fo._kravchuk_block(total) * phase[None, :]
+
+
 def beam_splitter_unitary(cutoff: int) -> np.ndarray:
     """Dense 50:50 splitter over the triangular basis, block-diagonal in N."""
     dim = triangle_dimension(cutoff)
     u = np.zeros((dim, dim), dtype=complex)
     for total in range(cutoff + 1):
         start = total * (total + 1) // 2
-        u[start : start + total + 1, start : start + total + 1] = fo._bs_block(total)
+        u[start : start + total + 1, start : start + total + 1] = bs_block(total)
     return u
+
+
+def reference_loss_channel(rho: np.ndarray, loss_r: float) -> np.ndarray:
+    """Pure loss with transmissivity t^2 = 1 - loss_r^2 on both arms of rho[n_a, n_b, m_a, m_b].
+
+    Kraus operator K_k removes k photons from one arm, with amplitude sqrt(C(n+k, k)) t^n r^k
+    on the output number n.
+    """
+    d = len(rho)
+    t = math.sqrt(1.0 - loss_r**2)
+    for _ in range(2):  # arm a, then arm b once the arms are swapped
+        out = np.zeros_like(rho)
+        for k in range(d):
+            fac = np.sqrt([float(math.comb(n + k, k)) for n in range(d - k)]) * t ** np.arange(d - k) * loss_r**k
+            out[: d - k, :, : d - k, :] += rho[k:, :, k:, :] * (fac[:, None, None, None] * fac[None, None, :, None])
+        rho = out.transpose(1, 0, 3, 2)
+    return rho
+
+
+def reference_simulate_density(state_a, state_b, config, cutoff: int):
+    """The oracle's result with Kraus loss on an explicit density matrix in place of binomial thinning.
+
+    Loss acts on both arms between the phase and the second splitter, which is applied as U rho U^dag.
+    """
+    vec = fo.encode(state_a, state_b, cutoff)
+    psi = fo._apply_phase(fo._apply_beam_splitter(vec.amplitudes), config.phi)
+    rho = reference_loss_channel(np.einsum("ab,cd->abcd", psi, np.conj(psi)), config.loss_r)
+    n_a, n_b = triangle_occupations(cutoff)
+    u = beam_splitter_unitary(cutoff)
+    final = u @ rho[n_a[:, None], n_b[:, None], n_a[None, :], n_b[None, :]] @ u.conj().T
+    return fo._result(np.bincount(n_a, weights=np.diagonal(final).real, minlength=cutoff + 1), vec.tail_bound)
 
 
 def reference_fmt(x) -> str:

@@ -333,6 +333,15 @@ class TestSpecHandling:
         assert capsys.readouterr().err == f"numerical limit: {error}\n"
         assert not out.exists()
 
+    def test_overflowing_state_is_a_numerical_limit(self, tmp_path, capsys):
+        # the Gram sum of mps1 at alpha = 1e160 overflows to NaN; no row of NaN values is written
+        args = ["wigner", "--state-a", "mps1", "--alpha-re", "1e160", "--alpha-im", "0", "--window", "1"]
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(args + ["--resolution", "3", "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical limit: Gram sum is not finite: (nan+nanj)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,7 +1,8 @@
 """The library needs numpy alone at run time; scipy is a test-only dependency.
 
 The verification routes, the closed forms and the Fock oracle, stay
-independent of the pair-sum engine and of each other.
+independent of the pair-sum engine and of each other, and the tests' Kraus
+reference stays independent of the oracle's binomial thinning that it checks.
 """
 
 import ast
@@ -61,3 +62,34 @@ def test_verification_routes_stay_independent(module, forbidden):
     imports = _qlidar_imports((SRC / "qlidar" / f"{module}.py").read_text())
     assert {"interferometer", "states"} <= imports  # the shared definitions are seen, so the parse is live
     assert imports.isdisjoint(forbidden), sorted(imports & forbidden)
+
+
+def _reachable_names(source: str, entry: str) -> set[str]:
+    """Names and attributes that a module function reads, with those of every module function it calls, transitively."""
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    names, todo, seen = set(), [entry], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in functions:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_call_walk_follows_module_functions():
+    source = "def f():\n    return g()\n\ndef g():\n    return fo.simulate(1)\n\ndef h():\n    return fo._thin(1)\n"
+    assert _reachable_names(source, "f") == {"g", "fo", "simulate"}
+
+
+def test_kraus_reference_never_runs_the_thinning_it_checks():
+    # the density route must reach its port-a counts without the oracle's thinned readout
+    names = _reachable_names((Path(__file__).parent / "helpers.py").read_text(), "reference_simulate_density")
+    assert {"reference_loss_channel", "beam_splitter_unitary", "_kravchuk_block"} <= names  # the walk is live
+    assert names.isdisjoint({"simulate", "_thin"}), sorted(names & {"simulate", "_thin"})

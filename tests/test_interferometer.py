@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import mode_mean_photon, output_gram_sum
-from qlidar import fock_oracle, metrology, states
+from qlidar import metrology, states
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, mode_transform, propagate
 from qlidar.states import StateKind, make_state, vacuum
@@ -37,7 +37,7 @@ class TestOneLossGuard:
     The curve functions are checked against ``MziConfig`` in test_detection.py.
     """
 
-    @pytest.mark.parametrize("entry", ["config", "loss_sweep", "loss_channel"])
+    @pytest.mark.parametrize("entry", ["config", "loss_sweep"])
     def test_total_loss_rejected_alike(self, entry, monkeypatch):
         def computed(*args, **kwargs):
             raise AssertionError("a grid point was computed before the grid was checked")
@@ -47,9 +47,6 @@ class TestOneLossGuard:
         calls = {
             "config": lambda: MziConfig(phi=0.0, loss_r=1.0),
             "loss_sweep": lambda: metrology.loss_sweep(sa, vacuum(), 0.1, Scheme.PARITY, [0.0, 0.5, 1.0]),
-            "loss_channel": lambda: fock_oracle.loss_channel(
-                fock_oracle.FockDensity(cutoff=1, matrix=np.zeros((2, 2, 2, 2), dtype=complex)), "a", 1.0
-            ),
         }
         with pytest.raises(ValueError) as info:
             calls[entry]()
