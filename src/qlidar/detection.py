@@ -18,6 +18,11 @@ part.
 Parity and Z also take an output with a leading axis over P phases.  Each
 phase's sum is the gemv and dot of a one-phase sum over its own contiguous
 (K, K) block, so every value is bit-identical to the one-phase call.
+
+Each pair term is exp(A + B e^{i phi} + C e^{-i phi}), so a value curve over one
+full period is fixed by a few dozen to a few hundred samples; such a curve is
+evaluated at an a-priori Nyquist count and resampled by FFT
+(:func:`expectation_curve`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .states import IMAG_RESIDUE_TOL, CoherentOperator, SuperposedState, _overla
 
 NEGATIVE_PROBABILITY_TOL = -1e-10
 CURVE_CHUNK = 1024  # phases per (K, K, P) pair block of a curve sweep
+TWO_PI = 2.0 * math.pi
 
 
 class NegativeProbability(ArithmeticError):
@@ -52,6 +58,10 @@ class Scheme(Enum):
             return cls(name.strip().lower())
         except ValueError:
             raise ValueError(f"unknown scheme {name!r} (expected 'parity' or 'z')") from None
+
+
+# c of the port-a pair exponent c conj(u_i) u_j: <a|Pi|b> = <a|-b>, and the vacuum projector has no cross term
+_PORT_A_CROSS = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}
 
 
 @dataclass(frozen=True)
@@ -100,17 +110,22 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
 
     Pair term (i, j) of P(n) is its n = 0 term times z_ij^n / n!, with
     z_ij = conj(a_i) a_j; it is evaluated as one exponential per n so that
-    large port intensities do not underflow the n = 0 factor.
+    large port intensities do not underflow the n = 0 factor.  P(0) alone
+    (``cutoff == 0``) raises only below both NEGATIVE_PROBABILITY_TOL and
+    -beta, its rounding bound of :func:`_p0_rounding_bound`.
     """
     aa = np.abs(a) ** 2
     gauss = -0.5 * (aa[:, None] + aa[None, :])
+    vacuum_terms = np.exp(gauss) * rest
     vals = np.empty((cutoff + 1,) + a.shape[1:], dtype=complex)
-    vals[0] = _pair_sum(w, np.exp(gauss) * rest)
+    vals[0] = _pair_sum(w, vacuum_terms)
     if cutoff == 0:  # P(0) alone (z_expectation), at one phase or at each of P phases
         p0 = _real_part(vals[0], "P(0)")
         lowest = p0 if isinstance(p0, float) else p0.min()
         if lowest < NEGATIVE_PROBABILITY_TOL:
-            raise NegativeProbability(f"P(0) = {lowest:.3e}")
+            bad = (p0 < NEGATIVE_PROBABILITY_TOL) & (p0 < -_p0_rounding_bound(w, vacuum_terms))
+            if np.any(bad):
+                raise NegativeProbability(f"P(0) = {np.min(p0, where=bad, initial=np.inf):.3e}")
         return vals.real.clip(0.0, 1.0)
     z = np.conj(a)[:, None] * a[None, :]
     nz = z != 0
@@ -126,6 +141,16 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
         n = int(np.argmax(bad))  # the first offending photon number
         raise NegativeProbability(f"P({n}) = {_real_part(vals[n], f'P({n})'):.3e}")
     return real.clip(0.0, 1.0)
+
+
+def _p0_rounding_bound(w: np.ndarray, vacuum_terms: np.ndarray):
+    """beta = K^2 2^-53 sum_ij |w_i w_j e^gauss_ij rest_ij|, per phase: the rounding a P(0) pair sum can carry.
+
+    The K^2 terms cancel, so a P(0) that is zero in exact arithmetic may come out
+    as negative as -beta (1.07e-8 for mps3 at |alpha|^2 = 0.01).
+    """
+    absw = np.abs(w)
+    return len(w) ** 2 * 2.0**-53 * np.einsum("i,ij...,j->...", absw, np.abs(vacuum_terms), absw)
 
 
 def photon_probability(out: FourModeOutput, n: int) -> float:
@@ -232,8 +257,7 @@ def _curve_values(w, u, du, scheme: Scheme):
 
     Mode 0 of u is port a; the other modes of u are traced out.
     """
-    cross = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
-    coeffs = (cross, 1.0, 1.0, 1.0)
+    coeffs = (_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)
     n_pairs, n_modes, n_phi = u.shape
     exponent = np.zeros((n_pairs, n_pairs, n_phi), dtype=complex)
     dexp = None if du is None else np.zeros_like(exponent)
@@ -252,20 +276,100 @@ def _curve_values(w, u, du, scheme: Scheme):
     return values, (None if du is None else _real_part(np.sum(terms * dexp, axis=(0, 1)), "slope curve"))
 
 
-def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
-    """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,)."""
+def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndarray:
+    """Uniform grid over one full period, endpoint excluded."""
+    return np.linspace(start, start + TWO_PI, samples, endpoint=False)
+
+
+def _is_period(phis: np.ndarray) -> bool:
+    """Whether the phases are bit for bit the :func:`periodic_phase_grid` of their count and first phase."""
+    return phis.ndim == 1 and len(phis) > 1 and phis.tobytes() == periodic_phase_grid(len(phis), phis[0]).tobytes()
+
+
+def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: float, counts: np.ndarray) -> np.ndarray:
+    """The log of an a-priori bound on the error of each value of an m-sample trigonometric interpolant, for each m of counts.
+
+    Each row of the transfer matrix is M0 + M1 e^{i phi}, read off at phi = 0 and
+    pi, so each pair exponent of :func:`_curve_values` is A + B e^{i phi} + C e^{-i phi}.
+    The Fourier coefficients of its exponential obey
+    sum_{n >= N} |c_n| <= e^{Re A + |C|} |B|^N / N! / (1 - |B| / (N + 1)), and the
+    same with B and C swapped for n <= -N (Jacobi-Anger).  Resampling m samples of
+    one period keeps the harmonics |n| < N = ceil(m / 2) up to what the others alias
+    onto them, so each value moves by at most 2 sum_ij |w_i w_j| (both tails at N).
+    C_ij = conj(B_ji) and Re A_ij = Re A_ji, so the tails towards -n sum to those
+    towards +n.  The bound is +inf where some |B| reaches N + 1.
+    """
+    u = _phase_resolved_amplitudes(amps_in, np.array([0.0, math.pi]), loss_r, False)[0]
+    p, q = 0.5 * (u[..., 0] + u[..., 1]), 0.5 * (u[..., 0] - u[..., 1])  # (K, M): the M0 and M1 amplitudes
+    coeffs = np.array((_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)[: p.shape[1]])
+    cp = np.conj(p) * coeffs
+    s = np.sum(np.abs(p) ** 2 + np.abs(q) ** 2, axis=1)
+    t = np.sum(np.conj(p) * q, axis=1)
+    re_a = -0.5 * (s[:, None] + s[None, :]) + np.real(cp @ p.T + (np.conj(q) * coeffs) @ q.T)
+    b = np.abs(-0.5 * (t[:, None] + t[None, :]) + cp @ q.T)
+    n = (counts[:, None] + 1) // 2
+    log_factorial = np.array([math.lgamma(k + 1) for k in n[:, 0].tolist()])[:, None]
+    # log 0 = -inf where a weight or |B| is zero; the rows that diverge or vanish are read off top below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        front = (np.log(4.0 * np.abs(np.multiply.outer(w, w))) + re_a + b.T).ravel()
+        x = b.ravel()
+        logs = np.where(x < n + 1, front + n * np.log(x) - log_factorial - np.log1p(-x / (n + 1)), np.inf)
+        top = np.max(logs, axis=1)
+        finite = np.isfinite(top)
+        shift = np.where(finite, top, 0.0)[:, None]
+        return np.where(finite, top + np.log(np.sum(np.exp(logs - shift), axis=1)), top)
+
+
+def _spectral_count(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: float, n_phi: int) -> int:
+    """The smallest divisor m < P of P whose interpolation bound is one rounding step of the direct sum, else P.
+
+    One rounding step is 2^-52 sum_ij |w_i w_j|, the size of the pair terms that
+    the direct sum cancels.
+    """
+    small = [d for d in range(1, math.isqrt(n_phi) + 1) if n_phi % d == 0]
+    counts = np.array(sorted(set(small + [n_phi // d for d in small]) - {n_phi}))
+    if not len(counts):
+        return n_phi
+    limit = 2.0 * math.log(float(np.sum(np.abs(w)))) - 52.0 * math.log(2.0)
+    passing = np.flatnonzero(_interpolation_bounds(w, amps_in, scheme, loss_r, counts) <= limit)
+    return int(counts[passing[0]]) if len(passing) else n_phi
+
+
+def _fourier_resample(samples: np.ndarray, n_phi: int) -> np.ndarray:
+    """The trigonometric interpolant of m equispaced samples of one period at n_phi equispaced phases; m divides n_phi.
+
+    For even m the Nyquist bin stands for the harmonics +m/2 and -m/2 together,
+    so it is halved before the spectrum is zero-padded.
+    """
+    spectrum = np.fft.rfft(samples, norm="forward")
+    if len(samples) % 2 == 0:
+        spectrum[-1] *= 0.5
+    return np.fft.irfft(spectrum, n_phi, norm="forward")
+
+
+def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool, direct: bool = False):
+    """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,).
+
+    Values alone over one period (:func:`_is_period`), unless ``direct``, come
+    from the kernel at m of the phases and :func:`_fourier_resample` when
+    :func:`_spectral_count` finds an m < P; otherwise the kernel runs at every phase.
+    """
     w, amps_in = _input_pairs(state_a, state_b)
     phis = _check_phase(phis)
     loss_r = _check_loss(loss_r)
-    values = np.empty(phis.shape)
-    slopes = np.empty(phis.shape) if want_derivative else None
-    for lo in range(0, len(phis), CURVE_CHUNK):
+    stride = 1
+    if not (want_derivative or direct) and _is_period(phis):
+        stride = len(phis) // _spectral_count(w, amps_in, scheme, loss_r, len(phis))
+    grid = phis if stride == 1 else phis[::stride]
+    values = np.empty(grid.shape)
+    slopes = np.empty(grid.shape) if want_derivative else None
+    for lo in range(0, len(grid), CURVE_CHUNK):
         part = slice(lo, lo + CURVE_CHUNK)
-        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r, want_derivative)
+        u, du = _phase_resolved_amplitudes(amps_in, grid[part], loss_r, want_derivative)
         values[part], chunk_slopes = _curve_values(w, u, du, scheme)
         if want_derivative:
             slopes[part] = chunk_slopes
-    return values, slopes
+    return (values if stride == 1 else _fourier_resample(values, len(phis))), slopes
 
 
 def expectation_curve(
@@ -274,9 +378,26 @@ def expectation_curve(
     scheme: Scheme,
     phis,
     loss_r: float = 0.0,
+    *,
+    direct: bool = False,
 ) -> np.ndarray:
-    """Vectorized <Pi> or <Z> over a grid of phase values."""
-    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)[0]
+    """Vectorized <Pi> or <Z> over a grid of phase values.
+
+    On one full period, phases bit for bit ``periodic_phase_grid(P, phis[0])``,
+    the kernel runs at every (P/m)-th phase and an FFT resamples to all P.  m is
+    the smallest divisor of P below P whose a-priori interpolation bound
+    2 sum_ij |w_i w_j| sum_{|n| >= ceil(m/2)} |c_n^ij| (:func:`_interpolation_bounds`)
+    is at most 2^-52 sum_ij |w_i w_j|, one rounding step of the direct sum, so
+    each value lies within that bound of the exact curve, plus rounding.  Other
+    grids, and a period that no such m fits, are evaluated at every phase.
+
+    ``direct=True`` evaluates every phase of a period too, keeping the last bits
+    of the direct kernel.  It exists only until the stored reference widths of
+    the bench carry noise bands (see the roadmap); then
+    :func:`~qlidar.metrology.sample_curve` stops passing it and the keyword is
+    deleted.
+    """
+    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False, direct=direct)[0]
 
 
 def expectation_derivative_curve(

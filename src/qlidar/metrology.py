@@ -23,11 +23,10 @@ from typing import Callable
 import numpy as np
 
 from . import detection
-from .detection import Scheme
+from .detection import TWO_PI, Scheme, periodic_phase_grid
 from .interferometer import MziConfig, _check_loss
 from .states import SuperposedState, mean_photon_number
 
-TWO_PI = 2.0 * math.pi
 REFINE_TOL = 1e-8
 PEAK_NOISE_THRESHOLD = 1e-9
 DERIVATIVE_FLOOR = 1e-14
@@ -70,11 +69,6 @@ class SignalCurve:
         return len(self.phis) * TWO_PI / (self.span + (self.phis[1] - self.phis[0]))
 
 
-def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndarray:
-    """Uniform grid over one full period, endpoint excluded."""
-    return np.linspace(start, start + TWO_PI, samples, endpoint=False)
-
-
 def sample_curve(
     state_a: SuperposedState,
     state_b: SuperposedState,
@@ -82,11 +76,15 @@ def sample_curve(
     phis=None,
     loss_r: float = 0.0,
 ) -> SignalCurve:
-    """Evaluate the detection signal on a phase grid (default: one period)."""
+    """Evaluate the detection signal on a phase grid (default: one period), directly at every phase.
+
+    The widths and peaks refined from it keep the last bits of the direct kernel;
+    see the ``direct`` keyword of :func:`~qlidar.detection.expectation_curve`.
+    """
     if phis is None:
         phis = periodic_phase_grid()
     phis = np.asarray(phis, dtype=float)
-    values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r)
+    values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r, direct=True)
     evaluator = detection.expectation_evaluator(state_a, state_b, scheme, loss_r)
     return SignalCurve(phis=phis, values=values, scheme=scheme, evaluator=evaluator)
 

@@ -11,7 +11,8 @@ forms must reproduce, the pair sums over all four output modes that the
 engine, which skips the vacuum loss environments at zero loss, must reproduce
 bit for bit, and the one-search-at-a-time golden-section, crossing walk and
 bisection refinements whose widths and peak positions the lockstep searches
-must reproduce exactly.
+must reproduce exactly, and the exact mod-4 series of the vacuum probability of
+a four-component state, which cancels nothing where the pair sums cancel most.
 """
 
 import json
@@ -367,3 +368,25 @@ def reference_peak_locations(curve, window, side="upper", midline=None, threshol
             phi0 = reference_golden_extremum(g, phi0 - step, phi0 + step)
         positions.append(phi0)
     return met._in_window(positions, lo, hi)
+
+
+def reference_mod4_series(j: int, x: float) -> float:
+    """e_j(x), the sum of x^n / n! over n = j mod 4, for x >= 0: every term is nonnegative, so nothing cancels."""
+    term = x**j / math.factorial(j)
+    total, n = 0.0, j
+    while term > 1e-17 * total or n <= x:
+        total += term
+        term *= x**4 / ((n + 1) * (n + 2) * (n + 3) * (n + 4))
+        n += 4
+    return total
+
+
+def reference_mps_z(j: int, alpha2: float, phi: float, loss_r: float = 0.0) -> float:
+    """Exact <Z> of MPS_j with vacuum in port b: e_j((1 - p) |alpha|^2) / e_j(|alpha|^2).
+
+    p = |M_00|^2 is the port-a power transmission.  The state's Fock amplitudes
+    sit on n = j mod 4, each of its n photons reaches port a with probability p,
+    and terms of different n are orthogonal in the vacuum projection.
+    """
+    p = abs(mode_transform(phi, loss_r)[0][0, 0]) ** 2
+    return reference_mod4_series(j, (1.0 - p) * alpha2) / reference_mod4_series(j, alpha2)

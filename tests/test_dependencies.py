@@ -23,6 +23,14 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_submodule():
+    # numpy.fft is read at the first spectral curve, not at import
+    code = "import sys, numpy; before = set(sys.modules); import qlidar; print(sorted(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert not [m for m in ast.literal_eval(proc.stdout) if m.startswith("numpy")]
+
+
 def test_sources_never_mention_scipy():
     hits = [
         f"{path.relative_to(SRC)}:{lineno}"

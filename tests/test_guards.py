@@ -1,4 +1,4 @@
-"""The package's numerical guards: one residue check, one-phase inputs where required, and the limit classes."""
+"""The package's numerical guards: one residue check, the scaled P(0) floor, one-phase inputs where required, and the limit classes."""
 
 import math
 import re
@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from helpers import reference_mps_z
 from qlidar import detection, fock_oracle, metrology, states, wigner
+from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, _input_pairs, _output, propagate
 from qlidar.states import StateKind, _real_part, make_state, vacuum
 
@@ -75,6 +77,73 @@ class TestNonFinite:
         monkeypatch.setattr(wigner, "_evaluate", lambda op, y1, y2: np.full((len(y1), len(y2)), np.nan))
         with pytest.raises(ArithmeticError, match="^Wigner magnitude nan exceeds 2/pi$"):
             wigner.wigner_grid(make_state(StateKind.CS, 1.0), (-1.0, 1.0), (-1.0, 1.0), 3)
+
+
+class TestP0Floor:
+    """Z at one phase or a phase array raises only below -beta, the rounding bound of its P(0) pair sum."""
+
+    STATE = make_state(StateKind.MPS3, math.sqrt(0.01))  # (sum|w|)^2 = 6.1e6: the pair sum cancels hard
+
+    def _beta(self, phi):
+        # K^2 2^-53 sum_ij |w_i w_j e^gauss_ij rest_ij|, written out from the pair data
+        w, a, rest = detection._pair_data(propagate(self.STATE, vacuum(), MziConfig(phi=phi)))
+        aa = np.abs(a) ** 2
+        terms = np.abs(w)[:, None] * np.abs(w)[None, :] * np.abs(np.exp(-0.5 * (aa[:, None] + aa[None, :])) * rest)
+        return len(w) ** 2 * 2.0**-53 * float(np.sum(terms))
+
+    def _negative_phases(self):
+        phis = metrology.periodic_phase_grid()
+        values = detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis, direct=True)
+        return phis[values < detection.NEGATIVE_PROBABILITY_TOL]
+
+    def test_series_reference_matches_the_engine_where_nothing_cancels(self):
+        for j, kind in enumerate([StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]):
+            for phi in (0.3, 1.1, 2.7):
+                for loss_r in (0.0, 0.2):
+                    config = MziConfig(phi=phi, loss_r=loss_r)
+                    got = detection.expectation(make_state(kind, math.sqrt(2.0)), vacuum(), config, Scheme.Z)
+                    assert abs(got - reference_mps_z(j, 2.0, phi, loss_r)) < 1e-14
+
+    def test_z_within_beta_of_the_series_where_the_curve_dips_below_the_floor(self):
+        phis = self._negative_phases()
+        assert len(phis) == 20
+        evaluate = detection.expectation_evaluator(self.STATE, vacuum(), Scheme.Z)
+        values = [evaluate(phi) for phi in phis.tolist()]
+        assert evaluate(phis).tobytes() == np.array(values).tobytes()
+        for phi, value in zip(phis.tolist(), values):
+            beta = self._beta(phi)
+            assert 1e-10 < beta < 1e-7
+            assert abs(value - reference_mps_z(3, 0.01, phi)) <= beta
+
+    def test_p0_below_beta_still_raises(self, monkeypatch):
+        phi = float(self._negative_phases()[0])
+        beta = self._beta(phi)
+        out = propagate(self.STATE, vacuum(), MziConfig(phi=phi))
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-0.5 * beta))
+        assert detection.z_expectation(out) == 0.0
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-2.0 * beta))
+        with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {-2.0 * beta:.3e}")):
+            detection.z_expectation(out)
+
+    def test_each_phase_has_its_own_beta(self, monkeypatch):
+        # two phases, gauss = 0: beta is 1.8e-7 where the pair terms are 1e8 and 1.8e-15 where they are 1
+        w, a = np.ones(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        rest = np.stack([np.full((2, 2), 1e8, dtype=complex), np.ones((2, 2), dtype=complex)], axis=-1)
+        for p0, raises in [((-2e-10, -0.5e-10), None), ((-2e-7, -0.5e-10), -2e-7), ((-2e-10, -1.5e-10), -1.5e-10)]:
+            monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.array(p0, dtype=complex))
+            if raises is None:
+                assert detection._photon_probabilities(w, a, rest, 0)[0].tolist() == [0.0, 0.0]
+            else:
+                with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {raises:.3e}")):
+                    detection._photon_probabilities(w, a, rest, 0)
+
+    def test_absolute_floor_still_holds_where_beta_is_tiny(self, monkeypatch):
+        out = propagate(make_state(StateKind.CS, 1.0), vacuum(), MziConfig(phi=2.0))  # one term: beta about 1e-16
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-0.5e-10))
+        assert detection.z_expectation(out) == 0.0
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-2e-10))
+        with pytest.raises(detection.NegativeProbability, match=re.escape("P(0) = -2.000e-10")):
+            detection.z_expectation(out)
 
 
 def _phase_axis_output():
