@@ -133,9 +133,9 @@ def cmd_sensitivity(spec) -> int:
     scheme = Scheme.parse(spec.scheme)
     phis = _phi_grid(spec)
     loss_r = _check_loss(spec.loss_r)
-    points = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
-    rows = [[p.phi, p.delta_phi, p.snl, p.ratio] for p in points]
-    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], list(zip(*rows)), spec.format)
+    curve = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
+    columns = [curve.phis, curve.delta_phi, np.full(len(curve), curve.snl), curve.ratio]
+    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], columns, spec.format)
     return EXIT_OK
 
 

@@ -20,9 +20,9 @@ phase's sum is the gemv and dot of a one-phase sum over its own contiguous
 (K, K) block, so every value is bit-identical to the one-phase call.
 
 Each pair term is exp(A + B e^{i phi} + C e^{-i phi}), so a value curve over one
-full period is fixed by a few dozen to a few hundred samples; such a curve is
-evaluated at an a-priori Nyquist count and resampled by FFT
-(:func:`expectation_curve`).
+full period, with or without its end point, is fixed by a few dozen to a few
+hundred samples; such a curve is evaluated at an a-priori Nyquist count and
+resampled by FFT (:func:`expectation_curve`).
 """
 
 from __future__ import annotations
@@ -110,37 +110,39 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
 
     Pair term (i, j) of P(n) is its n = 0 term times z_ij^n / n!, with
     z_ij = conj(a_i) a_j; it is evaluated as one exponential per n so that
-    large port intensities do not underflow the n = 0 factor.  P(0) alone
-    (``cutoff == 0``) raises only below both NEGATIVE_PROBABILITY_TOL and
-    -beta, its rounding bound of :func:`_p0_rounding_bound`.
+    large port intensities do not underflow the n = 0 factor.  P(0), alone
+    (``cutoff == 0``, at one phase or at each of P phases) or first of a
+    distribution, raises only below both NEGATIVE_PROBABILITY_TOL and -beta, its
+    rounding bound of :func:`_p0_rounding_bound`; P(n >= 1) below the former.
     """
     aa = np.abs(a) ** 2
     gauss = -0.5 * (aa[:, None] + aa[None, :])
     vacuum_terms = np.exp(gauss) * rest
-    vals = np.empty((cutoff + 1,) + a.shape[1:], dtype=complex)
-    vals[0] = _pair_sum(w, vacuum_terms)
-    if cutoff == 0:  # P(0) alone (z_expectation), at one phase or at each of P phases
-        p0 = _real_part(vals[0], "P(0)")
-        lowest = p0 if isinstance(p0, float) else p0.min()
-        if lowest < NEGATIVE_PROBABILITY_TOL:
-            bad = (p0 < NEGATIVE_PROBABILITY_TOL) & (p0 < -_p0_rounding_bound(w, vacuum_terms))
-            if np.any(bad):
-                raise NegativeProbability(f"P(0) = {np.min(p0, where=bad, initial=np.inf):.3e}")
-        return vals.real.clip(0.0, 1.0)
+    p0 = _real_part(_pair_sum(w, vacuum_terms), "P(0)")
+    lowest = p0 if isinstance(p0, float) else p0.min()
+    if lowest < NEGATIVE_PROBABILITY_TOL:
+        bad = (p0 < NEGATIVE_PROBABILITY_TOL) & (p0 < -_p0_rounding_bound(w, vacuum_terms))
+        if np.any(bad):
+            raise NegativeProbability(f"P(0) = {np.min(p0, where=bad, initial=np.inf):.3e}")
+    probs = np.empty((cutoff + 1,) + a.shape[1:])
+    probs[0] = p0
+    if cutoff == 0:
+        return probs.clip(0.0, 1.0)
     z = np.conj(a)[:, None] * a[None, :]
     nz = z != 0
     ns = np.arange(1, cutoff + 1)[:, None]
     log_factorial = np.array(list(map(math.lgamma, range(2, cutoff + 2))))[:, None]
     port = np.zeros((cutoff,) + z.shape, dtype=complex)
     port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
-    vals[1:] = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
+    vals = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
     real = vals.real
     bad = ~np.isfinite(vals) | (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real)))
     bad |= real < NEGATIVE_PROBABILITY_TOL
     if np.count_nonzero(bad):
-        n = int(np.argmax(bad))  # the first offending photon number
-        raise NegativeProbability(f"P({n}) = {_real_part(vals[n], f'P({n})'):.3e}")
-    return real.clip(0.0, 1.0)
+        n = int(np.argmax(bad)) + 1  # the first offending photon number
+        raise NegativeProbability(f"P({n}) = {_real_part(vals[n - 1], f'P({n})'):.3e}")
+    probs[1:] = real
+    return probs.clip(0.0, 1.0)
 
 
 def _p0_rounding_bound(w: np.ndarray, vacuum_terms: np.ndarray):
@@ -286,6 +288,18 @@ def _is_period(phis: np.ndarray) -> bool:
     return phis.ndim == 1 and len(phis) > 1 and phis.tobytes() == periodic_phase_grid(len(phis), phis[0]).tobytes()
 
 
+def _period_length(phis: np.ndarray) -> int:
+    """How many leading phases form one period: P for an open period (:func:`_is_period`), P - 1 for a closed one, else 0.
+
+    A closed period, bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI, P)``,
+    is an open period of P - 1 phases followed by phis[0] + TWO_PI.
+    """
+    if _is_period(phis):
+        return len(phis)
+    closed = phis.ndim == 1 and len(phis) > 2 and phis[-1] == phis[0] + TWO_PI and _is_period(phis[:-1])
+    return len(phis) - 1 if closed else 0
+
+
 def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: float, counts: np.ndarray) -> np.ndarray:
     """The log of an a-priori bound on the error of each value of an m-sample trigonometric interpolant, for each m of counts.
 
@@ -350,17 +364,20 @@ def _fourier_resample(samples: np.ndarray, n_phi: int) -> np.ndarray:
 def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool, direct: bool = False):
     """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,).
 
-    Values alone over one period (:func:`_is_period`), unless ``direct``, come
-    from the kernel at m of the phases and :func:`_fourier_resample` when
-    :func:`_spectral_count` finds an m < P; otherwise the kernel runs at every phase.
+    Values alone over an open or closed period of n phases (:func:`_period_length`),
+    unless ``direct``, come from the kernel at m of the first n phases and
+    :func:`_fourier_resample` when :func:`_spectral_count` finds an m < n; the end
+    point of a closed period takes the first value, as the interpolant does.
+    Otherwise the kernel runs at every phase.
     """
     w, amps_in = _input_pairs(state_a, state_b)
     phis = _check_phase(phis)
     loss_r = _check_loss(loss_r)
     stride = 1
-    if not (want_derivative or direct) and _is_period(phis):
-        stride = len(phis) // _spectral_count(w, amps_in, scheme, loss_r, len(phis))
-    grid = phis if stride == 1 else phis[::stride]
+    n_period = 0 if want_derivative or direct else _period_length(phis)
+    if n_period:
+        stride = n_period // _spectral_count(w, amps_in, scheme, loss_r, n_period)
+    grid = phis if stride == 1 else phis[:n_period:stride]
     values = np.empty(grid.shape)
     slopes = np.empty(grid.shape) if want_derivative else None
     for lo in range(0, len(grid), CURVE_CHUNK):
@@ -369,7 +386,10 @@ def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivativ
         values[part], chunk_slopes = _curve_values(w, u, du, scheme)
         if want_derivative:
             slopes[part] = chunk_slopes
-    return (values if stride == 1 else _fourier_resample(values, len(phis))), slopes
+    if stride == 1:
+        return values, slopes
+    values = _fourier_resample(values, n_period)
+    return (values if n_period == len(phis) else np.append(values, values[0])), slopes
 
 
 def expectation_curve(
@@ -383,9 +403,12 @@ def expectation_curve(
 ) -> np.ndarray:
     """Vectorized <Pi> or <Z> over a grid of phase values.
 
-    On one full period, phases bit for bit ``periodic_phase_grid(P, phis[0])``,
-    the kernel runs at every (P/m)-th phase and an FFT resamples to all P.  m is
-    the smallest divisor of P below P whose a-priori interpolation bound
+    On one full period of n phases, open (bit for bit ``periodic_phase_grid(n,
+    phis[0])``) or closed (bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI,
+    n + 1)``, as the CLI's default grid is), the kernel runs at every (n/m)-th
+    of the first n phases and an FFT resamples to all n; the end point of a
+    closed period takes the first value, as the periodic interpolant does.  m
+    is the smallest divisor of n below n whose a-priori interpolation bound
     2 sum_ij |w_i w_j| sum_{|n| >= ceil(m/2)} |c_n^ij| (:func:`_interpolation_bounds`)
     is at most 2^-52 sum_ij |w_i w_j|, one rounding step of the direct sum, so
     each value lies within that bound of the exact curve, plus rounding.  Other

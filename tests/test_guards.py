@@ -115,15 +115,33 @@ class TestP0Floor:
             assert 1e-10 < beta < 1e-7
             assert abs(value - reference_mps_z(3, 0.01, phi)) <= beta
 
-    def test_p0_below_beta_still_raises(self, monkeypatch):
+    def test_distribution_takes_the_floor_of_z(self):
+        # the distribution's P(0) is the same pair sum, so it passes wherever Z does
+        phis = self._negative_phases().tolist()
+        w, a, rest = detection._pair_data(propagate(self.STATE, vacuum(), MziConfig(phi=-3.1185829417715083)))
+        aa = np.abs(a) ** 2
+        raw = detection._pair_sum(w, np.exp(-0.5 * (aa[:, None] + aa[None, :])) * rest).real
+        assert -3.1185829417715083 in phis and raw == pytest.approx(-1.283e-10, abs=1e-13)  # beta = 1.07e-8 there
+        for phi in phis:
+            out = propagate(self.STATE, vacuum(), MziConfig(phi=phi))
+            probs = detection.port_distribution(out).probs
+            assert probs[0] == detection.z_expectation(out)
+            assert probs[2] == detection.photon_probability(out, 2)
+
+    @pytest.mark.parametrize(
+        "p0_of",
+        [detection.z_expectation, lambda out: detection.port_distribution(out, cutoff=3).probs[0]],
+        ids=["z_expectation", "port_distribution"],
+    )
+    def test_p0_below_beta_still_raises(self, monkeypatch, p0_of):
         phi = float(self._negative_phases()[0])
         beta = self._beta(phi)
         out = propagate(self.STATE, vacuum(), MziConfig(phi=phi))
         monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-0.5 * beta))
-        assert detection.z_expectation(out) == 0.0
+        assert p0_of(out) == 0.0
         monkeypatch.setattr(detection, "_pair_sum", lambda w, x: complex(-2.0 * beta))
         with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {-2.0 * beta:.3e}")):
-            detection.z_expectation(out)
+            p0_of(out)
 
     def test_each_phase_has_its_own_beta(self, monkeypatch):
         # two phases, gauss = 0: beta is 1.8e-7 where the pair terms are 1e8 and 1.8e-15 where they are 1

@@ -1,11 +1,14 @@
 """Spectral value curves: a full period sampled at m of its phases and resampled by FFT.
 
-Against the four-mode reference of ``helpers.reference_curve``, every value lies
-within the a-priori interpolation bound plus the rounding allowance
+A period is open, ``periodic_phase_grid(P, start)``, or closed,
+``np.linspace(start, start + 2 pi, P + 1)``, whose end point takes the first
+value.  Against the four-mode reference of ``helpers.reference_curve``, every
+value lies within the a-priori interpolation bound plus the rounding allowance
 1e-13 (sum|w|)^2 that the scalar-against-curve property uses, and at coarser
 sample counts the measured error stays within the bound too.  Where no sample
-count below P passes, and on every grid that is not one period, the curve is the
-direct kernel bit for bit; ``sample_curve`` keeps the direct kernel on a period.
+count below P passes, and on every grid that is not one period to the bit, the
+curve is the direct kernel bit for bit; ``sample_curve`` keeps the direct kernel
+on a period.
 """
 
 import math
@@ -38,7 +41,7 @@ def _divisors(n):
 
 @st.composite
 def periods(draw):
-    """Inputs, scheme, loss and a one-period grid: energies up to |alpha|^2 = 51 and |zeta|^2 = 52, any start.
+    """Inputs, scheme, loss, an open or closed one-period grid and its period length P: energies up to |alpha|^2 = 51 and |zeta|^2 = 52, any start.
 
     From 0.5 up, the |alpha|^-j weights of the j != 0 states keep the reference's
     value and slope sums clear of the residue check (mps3 at 0.1 can trip it).
@@ -48,15 +51,18 @@ def periods(draw):
     sb = vacuum() if second is None else make_state(second, math.sqrt(draw(st.floats(0.5, 52.0))))
     start = draw(st.one_of(st.just(-math.pi), st.floats(-2.0 * math.pi, 2.0 * math.pi)))
     loss_r = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
-    phis = metrology.periodic_phase_grid(draw(st.sampled_from(COUNTS)), start)
-    return sa, sb, draw(st.sampled_from([Scheme.PARITY, Scheme.Z])), phis, loss_r
+    n_phi = draw(st.sampled_from(COUNTS))
+    if draw(st.booleans()):
+        phis = np.linspace(start, start + detection.TWO_PI, n_phi + 1)
+    else:
+        phis = metrology.periodic_phase_grid(n_phi, start)
+    return sa, sb, draw(st.sampled_from([Scheme.PARITY, Scheme.Z])), phis, loss_r, n_phi
 
 
 @settings(deadline=None, max_examples=25)
 @given(periods())
 def test_spectral_curve_within_its_bound(case):
-    sa, sb, scheme, phis, loss_r = case
-    n_phi = len(phis)
+    sa, sb, scheme, phis, loss_r, n_phi = case
     w, amps_in = _input_pairs(sa, sb)
     m = detection._spectral_count(w, amps_in, scheme, loss_r, n_phi)
     weight = float(np.sum(np.abs(w))) ** 2
@@ -67,20 +73,22 @@ def test_spectral_curve_within_its_bound(case):
     if m == n_phi:
         assert got.tobytes() == direct.tobytes()
         return
+    if len(phis) > n_phi:
+        assert got[-1] == got[0]
     counts = [d for d in _divisors(n_phi) if 1 < d <= m]
     bounds = np.exp(np.minimum(detection._interpolation_bounds(w, amps_in, scheme, loss_r, np.array(counts)), 700.0))
     assert bounds[-1] <= 2.0**-52 * weight
     assert np.max(np.abs(got - want)) <= bounds[-1] + rounding
     # the bound bounds the measured error also where it is far above one rounding step
     for coarse, bound in zip(counts[:-1], bounds[:-1]):
-        resampled = detection._fourier_resample(direct[:: n_phi // coarse], n_phi)
-        assert np.max(np.abs(resampled - want)) <= bound + rounding, coarse
+        resampled = detection._fourier_resample(direct[: n_phi : n_phi // coarse], n_phi)
+        assert np.max(np.abs(resampled - want[:n_phi])) <= bound + rounding, coarse
 
 
 @pytest.mark.parametrize(
     "kind, alpha2, zeta2, n_phi",
     [
-        (StateKind.MPS1, 2.0, 0.0, 4099),  # a prime count: no divisor m < P besides 1
+        (StateKind.MPS1, 2.0, 0.0, 4099),  # a prime count: no divisor m < P besides 1 (closed: 4100 phases)
         (StateKind.MPS2, 51.0, 52.0, 64),  # the fringes need more samples than P
     ],
 )
@@ -91,9 +99,9 @@ def test_no_sample_count_below_p_falls_back_to_direct(kind, alpha2, zeta2, n_phi
     sb = vacuum() if zeta2 == 0.0 else make_state(StateKind.CS, math.sqrt(zeta2))
     w, amps_in = _input_pairs(sa, sb)
     assert detection._spectral_count(w, amps_in, scheme, loss_r, n_phi) == n_phi
-    phis = metrology.periodic_phase_grid(n_phi, 0.3)
-    got = detection.expectation_curve(sa, sb, scheme, phis, loss_r)
-    assert got.tobytes() == detection.expectation_curve(sa, sb, scheme, phis, loss_r, direct=True).tobytes()
+    for phis in (metrology.periodic_phase_grid(n_phi, 0.3), np.linspace(0.3, 0.3 + detection.TWO_PI, n_phi + 1)):
+        got = detection.expectation_curve(sa, sb, scheme, phis, loss_r)
+        assert got.tobytes() == detection.expectation_curve(sa, sb, scheme, phis, loss_r, direct=True).tobytes()
 
 
 @pytest.mark.parametrize("m, n_phi", [(8, 64), (9, 63), (2, 6), (1, 5)])
@@ -112,9 +120,12 @@ def test_resample_reproduces_every_trigonometric_polynomial_it_can_hold(m, n_phi
 def test_only_a_period_to_the_bit_is_sampled_spectrally(monkeypatch):
     sa, scheme = make_state(StateKind.MPS3, math.sqrt(2.0)), Scheme.PARITY
     period = metrology.periodic_phase_grid(1024)
-    nudged = period.copy()
+    closed = np.linspace(-math.pi, math.pi, 1024)  # a closed period of 1023 = 3 11 31 phases
+    nudged, end_off, second_off = period.copy(), closed.copy(), closed.copy()
     nudged[500] = np.nextafter(nudged[500], 4.0)
-    grids = [period, nudged, np.linspace(-math.pi, math.pi, 1024), period[:-1]]
+    end_off[-1] = np.nextafter(end_off[-1], 4.0)
+    second_off[1] = np.nextafter(second_off[1], 4.0)
+    grids = [period, closed, nudged, end_off, second_off, period[:-1]]
     kernel_points = []
     kernel = detection._curve_values
     monkeypatch.setattr(detection, "_curve_values", lambda w, u, du, s: kernel_points.append(u.shape[-1]) or kernel(w, u, du, s))
@@ -122,8 +133,9 @@ def test_only_a_period_to_the_bit_is_sampled_spectrally(monkeypatch):
         del kernel_points[:]
         got = detection.expectation_curve(sa, vacuum(), scheme, phis)
         assert got.shape == phis.shape
-        if phis is period:
-            assert sum(kernel_points) < 1024
+        if phis is period or phis is closed:
+            assert sum(kernel_points) < 1023
+            assert phis is period or got[-1] == got[0]
         else:
             assert kernel_points == [len(phis)]
             assert got.tobytes() == detection.expectation_curve(sa, vacuum(), scheme, phis, direct=True).tobytes()
