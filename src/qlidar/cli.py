@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -50,9 +51,10 @@ _fmt = "{:.17g}".format
 def _csv_cells(column) -> list[str]:
     if not isinstance(column, np.ndarray):
         return [x if isinstance(x, str) else _fmt(x) for x in column]
-    # each distinct bit pattern is formatted once; bits, not values, keep -0 apart from 0
+    # each distinct bit pattern is formatted once; bits, not values, keep -0 apart from 0.
+    # float.__format__ is what _fmt calls, without parsing the "{:.17g}" template per value
     bits, index = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    text = np.array(list(map(float.__format__, bits.view(np.float64).tolist(), repeat(".17g"))), dtype=object)
     return text[index].tolist()
 
 
@@ -133,9 +135,9 @@ def cmd_sensitivity(spec) -> int:
     scheme = Scheme.parse(spec.scheme)
     phis = _phi_grid(spec)
     loss_r = _check_loss(spec.loss_r)
-    curve = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
-    columns = [curve.phis, curve.delta_phi, np.full(len(curve), curve.snl), curve.ratio]
-    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], columns, spec.format)
+    points = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
+    rows = [[p.phi, p.delta_phi, p.snl, p.ratio] for p in points]
+    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], list(zip(*rows)), spec.format)
     return EXIT_OK
 
 

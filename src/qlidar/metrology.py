@@ -17,8 +17,8 @@ searches in one array call, and a float call when one point is left.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -103,27 +103,6 @@ class SensitivityPoint:
         return self.delta_phi / self.snl
 
 
-@dataclass(frozen=True)
-class SensitivityCurve:
-    """Error-propagation sensitivity over a phase grid, as arrays against one shot-noise floor.
-
-    ``ratio`` is ``delta_phi / snl`` element by element.  Indexing with an
-    integer, and so iteration, gives the :class:`SensitivityPoint` at that phase.
-    """
-
-    phis: np.ndarray
-    delta_phi: np.ndarray  # +inf at stationary points
-    ratio: np.ndarray
-    snl: float
-
-    def __len__(self) -> int:
-        return len(self.phis)
-
-    def __getitem__(self, i) -> SensitivityPoint:
-        i = operator.index(i)  # a slice raises rather than yield one point
-        return SensitivityPoint(phi=float(self.phis[i]), delta_phi=float(self.delta_phi[i]), snl=self.snl)
-
-
 def snl(state_a: SuperposedState, state_b: SuperposedState) -> float:
     """Shot-noise sensitivity floor 1/sqrt(total mean input photons)."""
     total = mean_photon_number(state_a) + mean_photon_number(state_b)
@@ -148,13 +127,11 @@ def sensitivity_curve(
     scheme: Scheme,
     phis,
     loss_r: float = 0.0,
-) -> SensitivityCurve:
+) -> list[SensitivityPoint]:
     """Delta-phi from the binary observable's variance and analytic slope over a phase grid.
 
-    The phases, Delta-phi and its ratio to the shot-noise floor come back as
-    the arrays of a :class:`SensitivityCurve`, not as one object per phase.  A
-    vanishing slope is a legitimate operating point (stationary phase), so it
-    yields an infinite sensitivity marker rather than an exception.
+    A vanishing slope is a legitimate operating point (stationary phase), so
+    it yields an infinite sensitivity marker rather than an exception.
     """
     floor = snl(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
@@ -166,7 +143,7 @@ def sensitivity_curve(
     flat = np.abs(slopes) < DERIVATIVE_FLOOR
     delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
     delta_phi[flat] = math.inf
-    return SensitivityCurve(phis=phis, delta_phi=delta_phi, ratio=delta_phi / floor, snl=floor)
+    return list(map(SensitivityPoint, phis.tolist(), delta_phi.tolist(), repeat(floor)))
 
 
 def _lockstep(f: Callable, searches: list) -> list:

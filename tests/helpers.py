@@ -11,8 +11,7 @@ forms must reproduce, the pair sums over all four output modes that the
 engine, which skips the vacuum loss environments at zero loss, must reproduce
 bit for bit, and the one-search-at-a-time golden-section, crossing walk and
 bisection refinements whose widths and peak positions the lockstep searches
-must reproduce exactly, the one-object-per-phase sensitivity list that the
-array-valued sensitivity curve must reproduce bit for bit, and the exact mod-4 series of the vacuum probability of
+must reproduce exactly, and the exact mod-4 series of the vacuum probability of
 a four-component state, which cancels nothing where the pair sums cancel most.
 """
 
@@ -274,21 +273,6 @@ def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
     terms = (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
     values, slopes = np.sum(terms, axis=(0, 1)), np.sum(terms * dexp, axis=(0, 1))
     return _real_part(values, "curve"), _real_part(slopes, "slope curve")
-
-
-def reference_sensitivity_points(state_a, state_b, scheme: Scheme, phis, loss_r: float = 0.0) -> list:
-    """Delta-phi over a phase grid as a list of one ``SensitivityPoint`` per phase, built from Python floats."""
-    floor = met.snl(state_a, state_b)
-    phis = np.asarray(phis, dtype=float)
-    values, slopes = detection._sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
-    if scheme is Scheme.PARITY:
-        variance = np.maximum(0.0, 1.0 - values * values)
-    else:
-        variance = np.maximum(0.0, values - values * values)
-    flat = np.abs(slopes) < met.DERIVATIVE_FLOOR
-    delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
-    delta_phi[flat] = math.inf
-    return [met.SensitivityPoint(phi=phi, delta_phi=d, snl=floor) for phi, d in zip(phis.tolist(), delta_phi.tolist())]
 
 
 def reference_golden_extremum(f, lo: float, hi: float, tol: float = met.REFINE_TOL) -> float:

@@ -315,6 +315,22 @@ class TestTracedModes:
         assert detection._traced_modes(0.0) == detection._traced_modes(-0.0) == (1,)
         assert detection._traced_modes(1e-300) == detection._traced_modes(0.3) == (1, 2, 3)
 
+    @staticmethod
+    def _check_closed_period(sa, sb, scheme, phis, loss_r, values):
+        """The default curve on a closed period: the direct kernel where no m < P - 1 fits, else within the bound of m."""
+        got = detection.expectation_curve(sa, sb, scheme, phis, loss_r)
+        w, amps_in = detection._input_pairs(sa, sb)
+        n_phi = len(phis) - 1
+        m = detection._spectral_count(w, amps_in, scheme, loss_r, n_phi)
+        if m == n_phi:
+            assert got.tobytes() == values.tobytes()
+            return
+        weight = float(np.sum(np.abs(w))) ** 2
+        bound = math.exp(min(float(detection._interpolation_bounds(w, amps_in, scheme, loss_r, np.array([m]))[0]), 700.0))
+        assert bound <= 2.0**-52 * weight
+        assert np.max(np.abs(got - values)) <= bound + 1e-13 * weight
+        assert got[-1] == got[0]
+
     @pytest.mark.parametrize("loss_r", [0.0, -0.0, 0.3, math.nextafter(1.0, 0.0)], ids=repr)
     @pytest.mark.parametrize("kind", SIX, ids=lambda k: k.value)
     def test_equal_to_four_mode_reference(self, kind, loss_r):
@@ -328,9 +344,9 @@ class TestTracedModes:
                         got = detection.expectation(sa, sb, config, scheme)
                         assert got == reference_expectation(sa, sb, config, scheme)
                     values, slopes = reference_curve(sa, sb, scheme, phis, loss_r)
-                    # the grid is a closed period, which is sampled spectrally unless the kernel is asked for directly
                     assert np.array_equal(detection.expectation_curve(sa, sb, scheme, phis, loss_r, direct=True), values)
                     assert np.array_equal(detection.expectation_derivative_curve(sa, sb, scheme, phis, loss_r), slopes)
+                    self._check_closed_period(sa, sb, scheme, phis, loss_r, values)
                 out = propagate(sa, sb, MziConfig(phi=1.7, loss_r=loss_r))
                 w, a, rest = reference_pair_data(out)
                 dist = detection.port_distribution(out)

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_sensitivity_points
 from qlidar import detection, metrology as met
 from qlidar import states
 from qlidar.detection import Scheme
@@ -200,28 +199,6 @@ class TestSensitivity:
         )
         assert math.isinf(point.delta_phi)
         assert math.isinf(point.ratio)
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("loss_r", [0.0, 0.3])
-    def test_curve_matches_the_point_list(self, scheme, loss_r):
-        sa, sb = make_state(StateKind.ECSS, math.sqrt(2.0)), make_state(StateKind.CS, 1.0)
-        grid = np.linspace(-math.pi, math.pi, 41)  # phi = 0 is stationary: delta_phi = inf there
-        curve = met.sensitivity_curve(sa, sb, scheme, grid, loss_r)
-        points = reference_sensitivity_points(sa, sb, scheme, grid, loss_r)
-        column = lambda name: np.array([getattr(p, name) for p in points])
-        assert math.isinf(points[20].delta_phi)
-        assert curve.phis.tobytes() == column("phi").tobytes()
-        assert curve.delta_phi.tobytes() == column("delta_phi").tobytes()
-        assert curve.ratio.tobytes() == column("ratio").tobytes()
-        assert type(curve.snl) is float and {p.snl for p in points} == {curve.snl}
-        bits = lambda ps: [(p.phi.hex(), p.delta_phi.hex(), p.snl.hex()) for p in ps]
-        assert len(curve) == len(points)
-        assert bits(curve[i] for i in range(-len(points), len(points))) == bits(points + points)
-        assert bits(curve) == bits(points)
-        with pytest.raises(IndexError):
-            curve[len(points)]
-        with pytest.raises(TypeError):
-            curve[:1]
 
     def test_points_hold_python_floats(self):
         points = met.sensitivity_curve(make_state(StateKind.ECSS, 1.0), vacuum(), Scheme.PARITY, [0.0, 0.4])
