@@ -88,13 +88,18 @@ class ClosedFormContext:
     @property
     def norm_sq(self) -> float:
         """Inverse squared normalization constant of the input state."""
-        g = math.exp(-self.alpha2)
-        total = (
-            self.X
-            + 2.0 * self.Y * g * g * math.cos(self.j * math.pi)
-            + 2.0 * self.V * g * math.cos(self.alpha2 - 0.5 * self.j * math.pi)
-        )
-        return 1.0 / total
+        return _norm_sq((self.mod_a, self.mod_b, self.mod_c, self.mod_d), self.j, self.alpha2)
+
+
+def _norm_sq(mods: tuple, j: int, alpha2: float) -> float:
+    """Inverse squared norm of A|alpha> + B|i alpha> + C|-alpha> + D|-i alpha> from the moduli (|A|, |B|, |C|, |D|)."""
+    a, b, c, d = mods
+    g = math.exp(-alpha2)
+    return 1.0 / (
+        (a * a + b * b + c * c + d * d)
+        + 2.0 * (a * c + b * d) * g * g * math.cos(j * math.pi)
+        + 2.0 * (a + c) * (b + d) * g * math.cos(alpha2 - 0.5 * j * math.pi)
+    )
 
 
 def closed_form_context(
@@ -439,12 +444,6 @@ def wigner_closed_form(kind: StateKind, alpha: complex, lam: complex) -> float:
     u_p = a2 + 0.5 * j * math.pi
     s = -2.0 * (a2 + l2)
     jpi = j * math.pi
-    g = math.exp(-a2)
-    norm_sq = 1.0 / (
-        (a * a + b * b + c * c + d * d)
-        + 2.0 * (a * c + b * d) * g * g * math.cos(jpi)
-        + 2.0 * (a + c) * (b + d) * g * math.cos(a2 - 0.5 * jpi)
-    )
     total = (
         math.exp(s)
         * (
@@ -459,4 +458,4 @@ def wigner_closed_form(kind: StateKind, alpha: complex, lam: complex) -> float:
         + 2.0 * c * d * math.exp(-ubar + v) * math.cos(ubar + u_p)
         + 2.0 * b * c * math.exp(-u + v) * math.cos(u + u_p)
     )
-    return 2.0 * norm_sq / math.pi * total
+    return 2.0 * _norm_sq((a, b, c, d), j, a2) / math.pi * total

@@ -90,8 +90,6 @@ def _expansion(state: SuperposedState, cutoff: int) -> np.ndarray:
 
 def encode(state_a: SuperposedState, state_b: SuperposedState, cutoff: int) -> FockVector:
     """Two-mode number-basis expansion of the input product state."""
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("encode requires normalized input states")
     # the input is a product state, so psi is one outer product of the two single-mode expansions
     psi = np.outer(_expansion(state_a, cutoff), _expansion(state_b, cutoff))
     ns = np.arange(cutoff + 1)

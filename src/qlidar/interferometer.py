@@ -118,8 +118,6 @@ def _input_pairs(state_a: SuperposedState, state_b: SuperposedState) -> tuple[np
 
     Pair k = i * len(b) + j holds the a term i and the b term j.
     """
-    if not (state_a.normalized and state_b.normalized):
-        raise ValueError("input states must be normalized")
     amps_in = np.empty((len(state_a.weights), len(state_b.weights), 2), dtype=complex)
     amps_in[..., 0] = state_a.amplitudes[:, None]
     amps_in[..., 1] = state_b.amplitudes[None, :]

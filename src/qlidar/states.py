@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -101,28 +101,26 @@ MPS_INDEX = {StateKind.MPS0: 0, StateKind.MPS1: 1, StateKind.MPS2: 2, StateKind.
 
 @dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class SuperposedState:
-    """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays, with a normalization flag.
+    """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays; the weights are scaled to unit norm when built.
 
-    ``normalize=True`` scales the weights to unit norm and sets the flag.
+    A non-finite Gram sum raises ArithmeticError, a numerically zero one :class:`DegenerateState`.
     """
 
     weights: np.ndarray
     amplitudes: np.ndarray
-    normalized: bool = False
-    normalize: InitVar[bool] = False
 
-    def __post_init__(self, normalize):
+    def __post_init__(self):
         w, a = _coherent_arrays(self.weights, self.amplitudes)
-        if normalize:
-            w = w * _inverse_norm(_gram(w, a))
-            object.__setattr__(self, "normalized", True)
+        w = w * _inverse_norm(_gram(w, a))
         w.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "amplitudes", a)
 
 
 def _gram(w: np.ndarray, a: np.ndarray) -> float:
-    return _real_part(np.conj(w) @ np.exp(_overlap_exponent(a)) @ w, "Gram sum")
+    # an overflowing overlap is reported by _real_part or _inverse_norm, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _real_part(np.conj(w) @ np.exp(_overlap_exponent(a)) @ w, "Gram sum")
 
 
 def _inverse_norm(total: float) -> float:
@@ -143,11 +141,6 @@ def normalization_constant(weights, amplitudes) -> float:
     return _inverse_norm(gram_sum(weights, amplitudes))
 
 
-def custom_state(weights, amplitudes) -> SuperposedState:
-    """Normalized state sum_k w_k |a_k> from explicit weight and amplitude arrays."""
-    return SuperposedState(weights, amplitudes, normalize=True)
-
-
 def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     """Build a normalized state of the given kind with coherent amplitude ``alpha``.
 
@@ -157,13 +150,13 @@ def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     """
     alpha = complex(alpha)
     if kind is StateKind.CS:
-        return SuperposedState([1.0], [alpha], normalized=True)
+        return SuperposedState([1.0], [alpha])
     if kind is StateKind.ECSS:
-        return custom_state([1.0, 1.0], [1j * alpha, -1j * alpha])
+        return SuperposedState([1.0, 1.0], [1j * alpha, -1j * alpha])
     if kind in MPS_INDEX:
         j = MPS_INDEX[kind]
-        return custom_state([(-1j) ** (j * m) for m in range(4)], [1j**m * alpha for m in range(4)])
-    raise ValueError("custom states carry explicit weight and amplitude arrays; use custom_state()")
+        return SuperposedState([(-1j) ** (j * m) for m in range(4)], [1j**m * alpha for m in range(4)])
+    raise ValueError("custom states carry explicit weight and amplitude arrays; use SuperposedState(weights, amplitudes)")
 
 
 def vacuum() -> SuperposedState:
@@ -173,8 +166,6 @@ def vacuum() -> SuperposedState:
 
 def mean_photon_number(state: SuperposedState) -> float:
     """<n> = sum_ij conj(w_i) w_j conj(a_i) a_j <a_i|a_j> of a normalized state."""
-    if not state.normalized:
-        raise ValueError("state must be normalized")
     w, a = state.weights, state.amplitudes
     gram = np.exp(_overlap_exponent(a))
     val = np.conj(w) @ (np.conj(a)[:, None] * a[None, :] * gram) @ w
@@ -194,7 +185,5 @@ class CoherentOperator:
 
 def density_operator(state: SuperposedState) -> CoherentOperator:
     """|psi><psi| of a normalized superposition: coefficients conj(w_i) w_j."""
-    if not state.normalized:
-        raise ValueError("state must be normalized")
     w = state.weights
     return CoherentOperator(np.conj(w)[:, None] * w[None, :], state.amplitudes)

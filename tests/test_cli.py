@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,8 +338,7 @@ class TestSpecHandling:
         # the Gram sum of mps1 at alpha = 1e160 overflows to NaN; no row of NaN values is written
         args = ["wigner", "--state-a", "mps1", "--alpha-re", "1e160", "--alpha-im", "0", "--window", "1"]
         out = tmp_path / "x.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli(args + ["--resolution", "3", "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert run_cli(args + ["--resolution", "3", "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == "numerical limit: Gram sum is not finite: (nan+nanj)\n"
         assert not out.exists()
 
@@ -371,6 +371,17 @@ class TestSpecHandling:
         assert run_cli(args + ["--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["signal", "sensitivity"])
+    def test_overflowing_coherent_state_is_a_numerical_limit(self, command, capsys):
+        # |alpha|^2 + |alpha|^2 overflows in the 1x1 Gram sum of cs, which fails at construction without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli([command, "--state-a", "cs", "--alpha2", "1e308", "--phi-steps", "3"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.err.startswith("numerical limit:")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "args,module,target,error",

@@ -14,7 +14,7 @@ from helpers import (
 from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import StateKind, custom_state, make_state, vacuum
+from qlidar.states import StateKind, SuperposedState, make_state, vacuum
 
 
 def cs(alpha2):
@@ -247,7 +247,7 @@ class TestInvariances:
         alpha = math.sqrt(2.0)
         base = make_state(StateKind.MPS1, alpha)
         phase = cmath.exp(0.37j)
-        rotated = custom_state(base.weights * phase, base.amplitudes)
+        rotated = SuperposedState(base.weights * phase, base.amplitudes)
         cfg = MziConfig(phi=1.2, loss_r=0.3)
         out_a, out_b = propagate(base, vacuum(), cfg), propagate(rotated, vacuum(), cfg)
         assert detection.parity_expectation(out_a) == pytest.approx(detection.parity_expectation(out_b), abs=1e-12)

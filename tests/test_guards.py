@@ -53,9 +53,15 @@ class TestNonFinite:
             assert str(batch.value) == str(single.value)
 
     def test_overflowing_state_raises(self):
-        # the Gram sum of mps1 at alpha = 1e160 overflows to NaN
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="^Gram sum is not finite"):
+        # the Gram sum of mps1 at alpha = 1e160 overflows to NaN; construction raises without a numpy warning
+        with pytest.raises(ArithmeticError, match="^Gram sum is not finite"):
             make_state(StateKind.MPS1, 1e160)
+
+    @pytest.mark.parametrize("alpha", [1e154, 1e160])
+    def test_overflowing_coherent_state_raises(self, alpha):
+        # |alpha|^2 + |alpha|^2 overflows, so the 1x1 Gram sum is 0 or NaN rather than 1
+        with pytest.raises(ArithmeticError, match="^Gram sum "):
+            make_state(StateKind.CS, alpha)
 
     @pytest.mark.parametrize(
         "call,what",
@@ -64,7 +70,8 @@ class TestNonFinite:
     )
     def test_overflowing_output_raises(self, call, what):
         with np.errstate(over="ignore", invalid="ignore"):
-            out = propagate(make_state(StateKind.CS, 1e160), vacuum(), MziConfig(phi=0.3))
+            # a coherent state this large fails at construction, so its output is built directly
+            out = _output(np.ones(1, dtype=complex), np.array([[1e160, 0.0]], dtype=complex), 0.3, 0.0)
             with pytest.raises(ArithmeticError, match=f"^{re.escape(what)} is not finite"):
                 call(out)
 

@@ -126,10 +126,12 @@ class TestPropagate:
         assert len(out.weights) == 8
         assert out.weights[0] == pytest.approx(sa.weights[0] * sb.weights[0])
 
-    def test_requires_normalized(self):
-        raw = states.SuperposedState([1.0], [1.0], normalized=False)
-        with pytest.raises(ValueError):
-            propagate(raw, vacuum(), MziConfig.lossless(0.1))
+    def test_input_normalized_by_construction(self):
+        # a term list of any scale enters as its normalized state
+        scaled = propagate(states.SuperposedState([2.0], [1.0]), vacuum(), MziConfig.lossless(0.1))
+        unit = propagate(make_state(StateKind.CS, 1.0), vacuum(), MziConfig.lossless(0.1))
+        assert scaled.weights.tobytes() == unit.weights.tobytes()
+        assert scaled.amplitudes.tobytes() == unit.amplitudes.tobytes()
 
 
 class TestBookkeeping:

@@ -9,14 +9,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from qlidar import cli, detection, fock_oracle, metrology, wigner
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import IMAG_RESIDUE_TOL, StateKind, density_operator, make_state, vacuum
+from qlidar.states import IMAG_RESIDUE_TOL, StateKind, SuperposedState, density_operator, gram_sum, make_state, vacuum
 
 from helpers import reference_fmt, reference_rows_text, reference_simulate_density, reference_wigner
 
@@ -199,3 +199,27 @@ def test_json_nonfinite_cells_carry_csv_spelling(table):
     spelled = [[c if isinstance(c, str) or math.isfinite(c) else reference_fmt(c) for c in row] for row in cells]
     assert rows == spelled
     assert text == reference_rows_text(header, spelled, "json")
+
+
+components = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def term_lists(draw):
+    """K in 1..6 finite complex weights and amplitudes."""
+    k = draw(st.integers(1, 6))
+    complexes = st.lists(st.builds(complex, components, components), min_size=k, max_size=k)
+    return draw(complexes), draw(complexes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(term_lists(), st.floats(1e-3, 1e3), phis)
+def test_state_is_normalized_by_construction(terms, scale, phase):
+    weights, amplitudes = terms
+    assume(gram_sum(weights, amplitudes) >= 1e-6)
+    state = SuperposedState(weights, amplitudes)
+    assert gram_sum(state.weights, state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    # a nonzero factor on the input weights survives only as its phase
+    c = scale * cmath.exp(1j * phase)
+    scaled = SuperposedState(np.multiply(c, weights), amplitudes)
+    assert np.max(np.abs(scaled.weights - c / abs(c) * state.weights)) <= 1e-12

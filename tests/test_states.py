@@ -8,7 +8,7 @@ from qlidar import states
 from qlidar.states import (
     DegenerateState,
     StateKind,
-    custom_state,
+    SuperposedState,
     density_operator,
     gram_sum,
     make_state,
@@ -65,7 +65,6 @@ class TestMakeState:
         assert len(s.weights) == 1
         assert s.weights[0] == 1.0
         assert s.amplitudes[0] == 2.0
-        assert s.normalized
 
     def test_mps0_structure(self):
         alpha = 1.1 + 0.3j
@@ -106,7 +105,7 @@ class TestNormalization:
         s = make_state(kind, math.sqrt(alpha2))
         assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
-    def test_custom_state_validates_once(self, monkeypatch):
+    def test_state_validates_once(self, monkeypatch):
         calls = []
         validate = states._coherent_arrays
         monkeypatch.setattr(states, "_coherent_arrays", lambda w, a: calls.append(1) or validate(w, a))
@@ -115,6 +114,12 @@ class TestNormalization:
 
     def test_mps0_at_zero(self):
         assert normalization_constant([1j**0] * 4, [0.0] * 4) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, 1e-3, -1.7, math.sqrt(2.0), 30.0, 1e150])
+    def test_real_coherent_weight_is_exactly_one(self, alpha):
+        # the 1x1 overlap exponent -|a|^2 + conj(a) a is exactly 0 for real a
+        assert make_state(StateKind.CS, alpha).weights[0] == 1.0
+        assert vacuum().weights[0] == 1.0
 
     def test_cs_is_unity(self):
         assert normalization_constant([1.0], [1.7]) == pytest.approx(1.0)
@@ -137,9 +142,8 @@ class TestNormalization:
         with pytest.raises(DegenerateState):
             make_state(StateKind.MPS3, 1e-9)
 
-    def test_custom_state_normalizes(self):
-        s = custom_state([0.3, 2.0 - 1.0j], [0.5, -0.2 + 0.1j])
-        assert s.normalized
+    def test_explicit_terms_normalized(self):
+        s = SuperposedState([0.3, 2.0 - 1.0j], [0.5, -0.2 + 0.1j])
         assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,7 +182,7 @@ class TestEcssEquivalence:
     def test_matches_general_coefficient_form(self):
         alpha = math.sqrt(2.0)
         ecss = make_state(StateKind.ECSS, alpha)
-        general = custom_state([0.0, 1.0, 0.0, 1.0], [alpha, 1j * alpha, -alpha, -1j * alpha])
+        general = SuperposedState([0.0, 1.0, 0.0, 1.0], [alpha, 1j * alpha, -alpha, -1j * alpha])
         assert mean_photon_number(ecss) == pytest.approx(mean_photon_number(general), abs=1e-12)
         from qlidar import detection, interferometer
 
@@ -200,14 +204,19 @@ class TestDyads:
         assert mix.coeffs.shape == (4, 4)
         assert mix.trace() == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_unnormalized(self):
-        raw = states.SuperposedState([2.0], [1.0], normalized=False)
-        with pytest.raises(ValueError):
-            density_operator(raw)
+    def test_weights_normalized_on_construction(self):
+        assert SuperposedState([2.0], [1.0]).weights.tolist() == [1.0]
+        assert density_operator(SuperposedState([2.0], [1.0])).trace() == 1.0
+
+    @pytest.mark.parametrize("flag", ["normalized", "normalize"])
+    def test_no_normalization_flag(self, flag):
+        # normalization is part of construction, so no caller can claim or skip it
+        with pytest.raises(TypeError):
+            SuperposedState([2.0], [1.0], **{flag: True})
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
-            states.SuperposedState([], [], normalized=False)
+            SuperposedState([], [])
 
     @pytest.mark.parametrize(
         "weights,amplitudes",
@@ -215,6 +224,4 @@ class TestDyads:
     )
     def test_malformed_arrays_rejected(self, weights, amplitudes):
         with pytest.raises(ValueError):
-            states.SuperposedState(weights, amplitudes)
-        with pytest.raises(ValueError):
-            custom_state(weights, amplitudes)
+            SuperposedState(weights, amplitudes)
