@@ -10,7 +10,7 @@ byte-identical output files.
 Exit codes: 0 success, 1 invalid spec or usage error, 2 oracle disagreement,
 3 I/O failure, 4 numerical limit (a probability, residue or bound check failed,
 no fringe peak or half-level crossing was found, a state's Gram sum is
-degenerate, or the oracle's cutoff drops too much probability).
+degenerate or not finite, or the oracle's cutoff drops too much probability).
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ def cmd_sensitivity(spec) -> int:
     scheme = Scheme.parse(spec.scheme)
     phis = _phi_grid(spec)
     loss_r = _check_loss(spec.loss_r)
-    points = metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)
-    rows = [[p.phi, p.delta_phi, p.snl, p.ratio] for p in points]
-    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], list(zip(*rows)), spec.format)
+    phi, delta_phi, snl = np.array(metrology.sensitivity_curve(state_a, state_b, scheme, phis, loss_r)).T
+    _write_rows(spec.out, ["phi", "delta_phi", "snl", "ratio"], [phi, delta_phi, snl, delta_phi / snl], spec.format)
     return EXIT_OK
 
 

@@ -240,10 +240,11 @@ def expectation_evaluator(
 
 
 def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float, want_derivative: bool):
-    """Output amplitudes u and, if wanted, their phase derivatives du (else None) of K input pairs over P phases.
+    """Output amplitudes u of K input pairs over P phases and, if wanted, port a's phase derivative du (else None).
 
-    Both have shape (K, M, P): rows 0 and :func:`_traced_modes` of the transfer
-    matrix and its derivative applied to the (K, 2) input amplitudes at every phase.
+    u has shape (K, M, P): rows 0 and :func:`_traced_modes` of the transfer
+    matrix applied to the (K, 2) input amplitudes at every phase; du is the
+    derivative of row 0 applied to them, of shape (K, P).
     """
     rows = [0, *_traced_modes(loss_r)]
     aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
@@ -251,31 +252,30 @@ def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: fl
     if not want_derivative:
         return apply(_transfer_matrix(phis, loss_r)), None
     matrix, derivative = _transfer_matrix(phis, loss_r, with_derivative=True)
-    return apply(matrix), apply(derivative)
+    return apply(matrix), aa[:, 0] * derivative[0, 0] + ab[:, 0] * derivative[0, 1]
 
 
 def _curve_values(w, u, du, scheme: Scheme):
     """Value sums and, if du is given, slope sums (else None) at the P phases of u, from one terms array.
 
-    Mode 0 of u is port a; the other modes of u are traced out.
+    Mode 0 of u is port a; the other modes are traced out.  The transfer matrix is an isometry on
+    the modes u keeps, so sum_m conj(u_im) u_jm does not depend on phi, nor does sum_m |u_im|^2: the
+    slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi = (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0.
     """
     coeffs = (_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)
     n_pairs, n_modes, n_phi = u.shape
     exponent = np.zeros((n_pairs, n_pairs, n_phi), dtype=complex)
-    dexp = None if du is None else np.zeros_like(exponent)
     for m in range(n_modes):
-        um = u[:, m, :]
-        exponent += _overlap_exponent(um, coeffs[m])
-        if du is not None:
-            dum = du[:, m, :]
-            duu = 2.0 * np.real(np.conj(um) * dum)
-            dexp += -0.5 * (duu[:, None, :] + duu[None, :, :]) + coeffs[m] * (
-                np.conj(dum)[:, None, :] * um[None, :, :] + np.conj(um)[:, None, :] * dum[None, :, :]
-            )
+        exponent += _overlap_exponent(u[:, m, :], coeffs[m])
     pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
     terms = pair_w * np.exp(exponent)
     values = _real_part(np.sum(terms, axis=(0, 1)), "curve")
-    return values, (None if du is None else _real_part(np.sum(terms * dexp, axis=(0, 1)), "slope curve"))
+    if du is None:
+        return values, None
+    x = np.conj(du)[:, None, :] * u[None, :, 0, :]
+    x += np.conj(x.transpose(1, 0, 2))
+    x *= terms
+    return values, _real_part((coeffs[0] - 1.0) * np.sum(x, axis=(0, 1)), "slope curve")
 
 
 def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndarray:
@@ -432,9 +432,8 @@ def expectation_derivative_curve(
 ) -> np.ndarray:
     """Vectorized analytic d<X>/dphi over a grid of phase values.
 
-    Every output amplitude depends smoothly on phi through the transfer
-    matrix, so each pair term differentiates to itself times the derivative of
-    its exponent; no finite differencing is involved.
+    Each pair term differentiates to itself times the derivative of its exponent, which port a's
+    amplitudes alone carry (:func:`_curve_values`); no finite differencing is involved.
     """
     return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)[1]
 

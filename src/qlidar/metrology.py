@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def sample_curve(
     return SignalCurve(phis=phis, values=values, scheme=scheme, evaluator=evaluator)
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(NamedTuple):
     """Error-propagation sensitivity at one phase, against the shot-noise floor."""
 
     phi: float
@@ -131,19 +130,18 @@ def sensitivity_curve(
     """Delta-phi from the binary observable's variance and analytic slope over a phase grid.
 
     A vanishing slope is a legitimate operating point (stationary phase), so
-    it yields an infinite sensitivity marker rather than an exception.
+    it yields an infinite sensitivity marker rather than an exception, as does a zero
+    variance: a bounded signal reaches the edge of its range only at an extremum.
     """
     floor = snl(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
     values, slopes = detection._sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
-    if scheme is Scheme.PARITY:
-        variance = np.maximum(0.0, 1.0 - values * values)
-    else:
-        variance = np.maximum(0.0, values - values * values)
-    flat = np.abs(slopes) < DERIVATIVE_FLOOR
+    variance = np.maximum(0.0, (1.0 if scheme is Scheme.PARITY else values) - values * values)
+    flat = (np.abs(slopes) < DERIVATIVE_FLOOR) | (variance <= 0.0)
     delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
     delta_phi[flat] = math.inf
-    return list(map(SensitivityPoint, phis.tolist(), delta_phi.tolist(), repeat(floor)))
+    # tuple.__new__ is what the NamedTuple constructor calls, without its per-point Python frame
+    return list(map(tuple.__new__, repeat(SensitivityPoint), zip(phis.tolist(), delta_phi.tolist(), repeat(floor))))
 
 
 def _lockstep(f: Callable, searches: list) -> list:

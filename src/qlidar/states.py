@@ -118,9 +118,13 @@ class SuperposedState:
 
 
 def _gram(w: np.ndarray, a: np.ndarray) -> float:
-    # an overflowing overlap is reported by _real_part or _inverse_norm, not as a numpy warning
+    # an overflowing overlap is reported by _real_part or the exponent check, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _real_part(np.conj(w) @ np.exp(_overlap_exponent(a)) @ w, "Gram sum")
+        exponent = _overlap_exponent(a)
+        total = _real_part(np.conj(w) @ np.exp(exponent) @ w, "Gram sum")
+        if not np.isfinite(exponent).all():  # e.g. -inf, whose overlap 0 would read as a degenerate state
+            raise ArithmeticError(f"Gram sum is not finite: |amplitude|^2 {np.max(np.abs(a)) ** 2:.3e} overflows an overlap")
+    return total
 
 
 def _inverse_norm(total: float) -> float:

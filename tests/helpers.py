@@ -7,11 +7,12 @@ counts the Fock oracle's binomial thinning must reproduce, the cell-by-cell
 row writer that the CLI's column writer must reproduce, the
 pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
-forms must reproduce, the pair sums over all four output modes that the
+forms must reproduce, the pair sums over all four output modes whose values the
 engine, which skips the vacuum loss environments at zero loss, must reproduce
-bit for bit, and the one-search-at-a-time golden-section, crossing walk and
-bisection refinements whose widths and peak positions the lockstep searches
-must reproduce exactly, and the exact mod-4 series of the vacuum probability of
+bit for bit and whose slopes it must reproduce within a rounding bound, and the
+one-search-at-a-time golden-section, crossing walk and bisection refinements
+whose widths and peak positions the lockstep searches must reproduce exactly,
+and the exact mod-4 series of the vacuum probability of
 a four-component state, which cancels nothing where the pair sums cancel most.
 """
 
@@ -252,7 +253,13 @@ def reference_expectation(state_a, state_b, config, scheme: Scheme) -> float:
 
 
 def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
-    """Values and slopes over at most one curve chunk of phases, summed over all four output modes."""
+    """Values and slopes over at most one curve chunk of phases, summed over all four output modes.
+
+    The slope exponent is the analytic derivative of every mode's overlap
+    exponent, the form the engine reduces to port a's alone.  Its sums carry
+    more rounding than the engine's, so their imaginary parts are checked
+    against :func:`reference_slope_bound`, not the engine's residue tolerance.
+    """
     w, amps_in = _input_pairs(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
     assert len(phis) <= detection.CURVE_CHUNK
@@ -272,7 +279,31 @@ def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
         )
     terms = (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
     values, slopes = np.sum(terms, axis=(0, 1)), np.sum(terms * dexp, axis=(0, 1))
-    return _real_part(values, "curve"), _real_part(slopes, "slope curve")
+    # the exact slope is real, so its imaginary part is rounding within the bound that the real part keeps too
+    assert np.max(np.abs(slopes.imag)) <= reference_slope_bound(state_a, state_b)
+    return _real_part(values, "curve"), slopes.real
+
+
+def reference_slope_bound(state_a, state_b) -> float:
+    """A bound on |engine slope - reference_curve slope| at any phase and loss, from the pair-term magnitudes.
+
+    W = sum_ij |w_i w_j|, and S is the largest |u_k|^2 = |a_k|^2 + |b_k|^2 of a
+    pair's four output amplitudes (the transfer matrix is an isometry).  Every
+    term t_ij d_ij of a slope sum has |t_ij| <= |w_i w_j|, since each overlap and
+    matrix element has modulus at most 1.  Its exponent derivative d_ij sums
+    products of an amplitude and a derivative amplitude whose magnitudes add up
+    to at most 4 S in either kernel: the phase derivative of the transfer matrix
+    has singular values 1 and 0, so |du_k| <= |u_k| over the four modes.  Each
+    kernel rounds transfer matrix, amplitudes, exponent derivative and term at
+    most 24 times in sequence and then sums K^2 terms, so it lies within
+    gamma_n 4 S W of the exact slope, n = K^2 + 24 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 4.2); the two
+    kernels lie within twice that of each other.
+    """
+    w, amps_in = _input_pairs(state_a, state_b)
+    n = len(w) ** 2 + 24
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    return 2.0 * gamma * 4.0 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.sum(np.abs(amps_in) ** 2, axis=1)))
 
 
 def reference_golden_extremum(f, lo: float, hi: float, tol: float = met.REFINE_TOL) -> float:

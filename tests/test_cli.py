@@ -147,6 +147,49 @@ class TestSensitivity:
         ratios = [float(r[3]) for r in rows if r[3] != "inf"]
         assert min(ratios) < 1.0
 
+    @pytest.mark.parametrize(
+        "args,zero_rows",
+        [
+            # a coherent state at phi = 4.4e-16: no state beats the shot-noise floor at an extremum (criterion 8)
+            (["--state-a", "cs", "--alpha2", "51"], [100]),
+            (["--state-a", "mps0", "--alpha2", "2", "--state-b", "cs", "--zeta2", "25"], [0, 200]),
+            # Z of mps3 near pi is 0 up to +-2.3e-10 of rounding noise
+            (
+                ["--state-a", "mps3", "--alpha2", "0.01", "--scheme", "z"]
+                + ["--phi-min", "3.10", "--phi-max", "3.2", "--phi-steps", "11"],
+                [0, 1, 2, 3, 6, 8, 9],
+            ),
+        ],
+        ids=["cs", "mps0-cs", "mps3-z"],
+    )
+    def test_zero_variance_is_stationary(self, args, zero_rows, tmp_path):
+        # the variance clamps to 0 where the slope is rounding noise just above the floor; such a row once read
+        # delta_phi = ratio = 0 and is a stationary point
+        out = tmp_path / "sens.csv"
+        assert run_cli(["sensitivity"] + args + ["--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(rows[i][1] == rows[i][3] == "inf" for i in zero_rows)
+        assert all(float(row[1]) > 0.0 and float(row[3]) > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_match_rows_of_points(self, fmt, tmp_path):
+        from helpers import reference_fmt, reference_rows_text
+
+        from qlidar.detection import Scheme
+        from qlidar.states import StateKind, make_state
+
+        out = tmp_path / f"sens.{fmt}"
+        args = ["sensitivity", "--state-a", "mps1", "--alpha2", "2", "--state-b", "cs", "--zeta2", "2"]
+        assert run_cli(args + ["--loss-r", "0.2", "--format", fmt, "--out", str(out)]) == 0
+        state_a, state_b = make_state(StateKind.MPS1, math.sqrt(2.0)), make_state(StateKind.CS, math.sqrt(2.0))
+        phis = np.linspace(-math.pi, math.pi, 201)
+        points = metrology.sensitivity_curve(state_a, state_b, Scheme.PARITY, phis, 0.2)
+        rows = [[p.phi, p.delta_phi, p.snl, p.ratio] for p in points]
+        assert any(math.isinf(row[1]) for row in rows)
+        if fmt == "json":
+            rows = [[x if math.isfinite(x) else reference_fmt(x) for x in row] for row in rows]
+        assert out.read_text() == reference_rows_text(["phi", "delta_phi", "snl", "ratio"], rows, fmt)
+
 
 class TestFwhm:
     def test_high_energy_agreement(self, tmp_path):

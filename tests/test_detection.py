@@ -10,6 +10,7 @@ from helpers import (
     reference_expectation,
     reference_pair_data,
     reference_photon_probabilities,
+    reference_slope_bound,
 )
 from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
@@ -309,7 +310,11 @@ SIX = (StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.M
 
 
 class TestTracedModes:
-    """Skipping the vacuum loss environments at zero loss changes no bit of any result."""
+    """Skipping the vacuum loss environments at zero loss changes no bit of any value.
+
+    Slopes come from port a's exponent alone, so they lie within a rounding
+    bound of the four-mode reference rather than on its bits.
+    """
 
     def test_environments_traced_whenever_loss_is_nonzero(self):
         assert detection._traced_modes(0.0) == detection._traced_modes(-0.0) == (1,)
@@ -345,7 +350,8 @@ class TestTracedModes:
                         assert got == reference_expectation(sa, sb, config, scheme)
                     values, slopes = reference_curve(sa, sb, scheme, phis, loss_r)
                     assert np.array_equal(detection.expectation_curve(sa, sb, scheme, phis, loss_r, direct=True), values)
-                    assert np.array_equal(detection.expectation_derivative_curve(sa, sb, scheme, phis, loss_r), slopes)
+                    got_slopes = detection.expectation_derivative_curve(sa, sb, scheme, phis, loss_r)
+                    assert np.max(np.abs(got_slopes - slopes)) <= reference_slope_bound(sa, sb)
                     self._check_closed_period(sa, sb, scheme, phis, loss_r, values)
                 out = propagate(sa, sb, MziConfig(phi=1.7, loss_r=loss_r))
                 w, a, rest = reference_pair_data(out)

@@ -59,9 +59,15 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("alpha", [1e154, 1e160])
     def test_overflowing_coherent_state_raises(self, alpha):
-        # |alpha|^2 + |alpha|^2 overflows, so the 1x1 Gram sum is 0 or NaN rather than 1
+        # |alpha|^2 + |alpha|^2 overflows, so the 1x1 pair exponent is -inf or the Gram sum NaN rather than 1
         with pytest.raises(ArithmeticError, match="^Gram sum "):
             make_state(StateKind.CS, alpha)
+
+    def test_overflowing_exponent_is_not_degeneracy(self):
+        # |alpha|^2 = 1e308 overflows the pair exponent to -inf, whose overlap 0 is no degenerate superposition
+        with pytest.raises(ArithmeticError, match=r"^Gram sum is not finite: \|amplitude\|\^2 1\.000e\+308 ") as info:
+            make_state(StateKind.CS, 1e154)
+        assert not isinstance(info.value, (states.DegenerateState, ValueError))
 
     @pytest.mark.parametrize(
         "call,what",

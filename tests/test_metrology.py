@@ -215,7 +215,7 @@ class TestSensitivity:
         slopes = detection.expectation_derivative_curve(sa, sb, scheme, grid, loss_r)
         for point, value, slope in zip(points, values, slopes):
             variance = max(0.0, 1.0 - value * value) if scheme is Scheme.PARITY else max(0.0, value - value * value)
-            flat = abs(slope) < met.DERIVATIVE_FLOOR
+            flat = abs(slope) < met.DERIVATIVE_FLOOR or variance <= 0.0
             assert point.delta_phi == (math.inf if flat else math.sqrt(variance) / abs(slope))
 
     def test_coherent_never_beats_floor(self):

@@ -18,7 +18,14 @@ from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
 from qlidar.states import IMAG_RESIDUE_TOL, StateKind, SuperposedState, density_operator, gram_sum, make_state, vacuum
 
-from helpers import reference_fmt, reference_rows_text, reference_simulate_density, reference_wigner
+from helpers import (
+    reference_curve,
+    reference_fmt,
+    reference_rows_text,
+    reference_simulate_density,
+    reference_slope_bound,
+    reference_wigner,
+)
 
 KINDS = [StateKind.CS, StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]
 
@@ -94,6 +101,25 @@ def test_phase_sensitivity_is_one_point_curve(kind, alpha2, zeta2, phi, loss_r, 
     sa, sb = _inputs(kind, alpha2, zeta2)
     point = metrology.phase_sensitivity(sa, sb, MziConfig(phi=phi, loss_r=loss_r), scheme)
     assert point == metrology.sensitivity_curve(sa, sb, scheme, [phi], loss_r)[0]
+
+
+@PROPERTY_SETTINGS
+@given(kinds, schemes, st.floats(0.1, 8.0), zeta2s, losses, st.integers(1, 64))
+def test_slopes_and_stationary_points_match_four_mode_reference(kind, scheme, alpha2, zeta2, loss_r, quarter):
+    # the grid holds 0, +-pi/2 and +-pi, where slopes vanish and the class hangs on DERIVATIVE_FLOOR
+    grid = np.linspace(-math.pi, math.pi, 4 * quarter + 1)
+    grid[[quarter, 2 * quarter, 3 * quarter]] = -0.5 * math.pi, 0.0, 0.5 * math.pi
+    sa, sb = _inputs(kind, alpha2, zeta2)
+    values, slopes = reference_curve(sa, sb, scheme, grid, loss_r)
+    bound = reference_slope_bound(sa, sb)
+    assert np.max(np.abs(detection.expectation_derivative_curve(sa, sb, scheme, grid, loss_r) - slopes)) <= bound
+    # the class rule of metrology.sensitivity_curve, on the reference slopes; the values are the engine's bits
+    variance = np.maximum(0.0, 1.0 - values * values if scheme is Scheme.PARITY else values - values * values)
+    flat = (np.abs(slopes) < metrology.DERIVATIVE_FLOOR) | (variance <= 0.0)
+    got = np.isinf([p.delta_phi for p in metrology.sensitivity_curve(sa, sb, scheme, grid, loss_r)])
+    # nearer the floor than the bound, a slope is rounding noise in both kernels
+    clear = np.abs(np.abs(slopes) - metrology.DERIVATIVE_FLOOR) > bound
+    assert np.array_equal(got[clear], flat[clear])
 
 
 @PROPERTY_SETTINGS
