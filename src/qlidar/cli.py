@@ -87,8 +87,6 @@ def _parse_state(kind_name: str, amplitude: complex | None = None, energy: float
     if name == "vacuum":
         return vacuum()
     kind = StateKind.parse(name)
-    if kind is StateKind.CUSTOM:
-        raise InvalidSpec("custom states are not constructible from flags")
     if amplitude is None:
         if energy < 0:
             raise InvalidSpec("state energy must be nonnegative")

@@ -303,8 +303,12 @@ def _period_length(phis: np.ndarray) -> int:
 def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: float, counts: np.ndarray) -> np.ndarray:
     """The log of an a-priori bound on the error of each value of an m-sample trigonometric interpolant, for each m of counts.
 
-    Each row of the transfer matrix is M0 + M1 e^{i phi}, read off at phi = 0 and
-    pi, so each pair exponent of :func:`_curve_values` is A + B e^{i phi} + C e^{-i phi}.
+    Port a's row of the transfer matrix is M0 + M1 e^{i phi}, read off at phi = 0
+    and pi, so its amplitudes are p + q e^{i phi}.  The matrix is an isometry on the
+    modes a pair sum keeps (:func:`_curve_values`), so each pair exponent is the
+    input overlap exponent E_ij (both ports) plus (c_0 - 1) conj(u_i0) u_j0, which is
+    A + B e^{i phi} + C e^{-i phi} with A = E + (c_0 - 1)(conj(p_i) p_j + conj(q_i) q_j)
+    and B = (c_0 - 1) conj(p_i) q_j.
     The Fourier coefficients of its exponential obey
     sum_{n >= N} |c_n| <= e^{Re A + |C|} |B|^N / N! / (1 - |B| / (N + 1)), and the
     same with B and C swapped for n <= -N (Jacobi-Anger).  Resampling m samples of
@@ -313,14 +317,12 @@ def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, lo
     C_ij = conj(B_ji) and Re A_ij = Re A_ji, so the tails towards -n sum to those
     towards +n.  The bound is +inf where some |B| reaches N + 1.
     """
-    u = _phase_resolved_amplitudes(amps_in, np.array([0.0, math.pi]), loss_r, False)[0]
-    p, q = 0.5 * (u[..., 0] + u[..., 1]), 0.5 * (u[..., 0] - u[..., 1])  # (K, M): the M0 and M1 amplitudes
-    coeffs = np.array((_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)[: p.shape[1]])
-    cp = np.conj(p) * coeffs
-    s = np.sum(np.abs(p) ** 2 + np.abs(q) ** 2, axis=1)
-    t = np.sum(np.conj(p) * q, axis=1)
-    re_a = -0.5 * (s[:, None] + s[None, :]) + np.real(cp @ p.T + (np.conj(q) * coeffs) @ q.T)
-    b = np.abs(-0.5 * (t[:, None] + t[None, :]) + cp @ q.T)
+    u = amps_in @ _transfer_matrix(np.array([0.0, math.pi]), loss_r)[0]
+    p, q = 0.5 * (u[:, 0] + u[:, 1]), 0.5 * (u[:, 0] - u[:, 1])  # (K,): port a's M0 and M1 amplitudes
+    c = _PORT_A_CROSS[scheme] - 1.0
+    cp = c * np.conj(p)[:, None]
+    re_a = np.real(sum(map(_overlap_exponent, amps_in.T)) + cp * p + c * np.conj(q)[:, None] * q)
+    b = np.abs(cp * q)
     n = (counts[:, None] + 1) // 2
     log_factorial = np.array([math.lgamma(k + 1) for k in n[:, 0].tolist()])[:, None]
     # log 0 = -inf where a weight or |B| is zero; the rows that diverge or vanish are read off top below
@@ -342,8 +344,6 @@ def _spectral_count(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: 
     """
     small = [d for d in range(1, math.isqrt(n_phi) + 1) if n_phi % d == 0]
     counts = np.array(sorted(set(small + [n_phi // d for d in small]) - {n_phi}))
-    if not len(counts):
-        return n_phi
     limit = 2.0 * math.log(float(np.sum(np.abs(w)))) - 52.0 * math.log(2.0)
     passing = np.flatnonzero(_interpolation_bounds(w, amps_in, scheme, loss_r, counts) <= limit)
     return int(counts[passing[0]]) if len(passing) else n_phi

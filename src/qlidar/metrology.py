@@ -7,6 +7,13 @@ error propagation of the binary observables against the shot-noise floor
 observable so crossing and extremum positions can be refined well below the
 sampling step.
 
+Extrema come from one scan for samples above both neighbours
+(:func:`_strict_maxima`; minima are the maxima of the negated curve, and the
+ends of a full period are neighbours).  One window rule (:func:`_in_window`)
+maps a position into [lo, lo + 2 pi) and keeps it when it is at most hi, or
+always when the window spans a period; it picks the samples of the default
+midline and the peaks that are reported.
+
 The evaluator contract: a float phase gives a float, and a 1-D array of
 phases gives an array of the values at those phases.  Searches that do not
 depend on each other (the peaks of one window, the two crossings of one
@@ -61,13 +68,6 @@ class SignalCurve:
             raise ValueError("phis must be strictly increasing with at least 2 samples")
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "values", values)
-
-    @property
-    def span(self) -> float:
-        return float(self.phis[-1] - self.phis[0])
-
-    def samples_per_period(self) -> float:
-        return len(self.phis) * TWO_PI / (self.span + (self.phis[1] - self.phis[0]))
 
 
 def sample_curve(
@@ -205,37 +205,31 @@ def _bisect_search(lo: float, hi: float, flo: float, fhi: float, tol: float = RE
     return 0.5 * (lo + hi)
 
 
-def _interior_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the strict interior local maxima and minima of a sampled curve."""
-    inner, left, right = values[1:-1], values[:-2], values[2:]
-    maxima = np.flatnonzero((inner > left) & (inner > right)) + 1
-    minima = np.flatnonzero((inner < left) & (inner < right)) + 1
-    return maxima, minima
+def _strict_maxima(signal: np.ndarray, periodic: bool) -> np.ndarray:
+    """Indices of the samples above both neighbours; the two ends count only on a periodic curve, where they meet."""
+    if periodic:
+        signal = np.concatenate((signal[-1:], signal, signal[:1]))
+    inner = signal[1:-1]
+    return np.flatnonzero((inner > signal[:-2]) & (inner > signal[2:])) + (0 if periodic else 1)
 
 
 def _principal_peak(values: np.ndarray, baseline: float | None) -> tuple[int, float, float]:
     """Sample index, sign (1 upright, -1 inverted) and baseline of the principal fringe; see :func:`fwhm`."""
-    maxima, minima = _interior_extrema(values)
+    maxima, minima = _strict_maxima(values, False), _strict_maxima(-values, False)
     if not len(maxima) and not len(minima):
         raise NoPeak("curve is monotone over its domain")
     vmin, vmax = float(np.min(values)), float(np.max(values))
     base_up = vmin if baseline is None else float(baseline)
     base_down = vmax if baseline is None else float(baseline)
-    up_dev, up_idx = -math.inf, None
-    for i in maxima:
-        dev = values[i] - base_up
-        if dev > up_dev:
-            up_dev, up_idx = dev, i
-    down_dev, down_idx = -math.inf, None
-    for i in minima:
-        dev = base_down - values[i]
-        if dev > down_dev:
-            down_dev, down_idx = dev, i
-    inverted = down_dev > up_dev + 1e-12 * max(1.0, vmax - vmin)
-    best_idx = down_idx if inverted else up_idx
-    if best_idx is None or (not inverted and up_dev <= 0.0) or (inverted and down_dev <= 0.0):
+    up, down = values[maxima] - base_up, base_down - values[minima]
+    up_dev, down_dev = up.max(initial=-math.inf), down.max(initial=-math.inf)
+    if down_dev > up_dev + 1e-12 * max(1.0, vmax - vmin):
+        dev, extrema, devs, sign, base = down_dev, minima, down, -1.0, base_down
+    else:
+        dev, extrema, devs, sign, base = up_dev, maxima, up, 1.0, base_up
+    if not dev > 0.0:  # also a NaN baseline
         raise NoPeak("no extremum stands out from the baseline")
-    return (best_idx, -1.0, base_down) if inverted else (best_idx, 1.0, base_up)
+    return int(extrema[devs.argmax()]), sign, base
 
 
 def _crossing_search(phis: np.ndarray, above: np.ndarray, best_idx: int, step: int):
@@ -299,18 +293,15 @@ def _raw_peaks(curve: SignalCurve, lo: float, hi: float, side: str, midline, thr
         raise ValueError("side must be 'upper', 'lower' or 'folded'")
     if not hi > lo:
         raise ValueError("window must have positive width")
-    if curve.samples_per_period() < 1000:
-        raise ValueError("peak counting needs at least 1000 samples per period")
     phis, values = curve.phis, curve.values
-    n = len(phis)
-    periodic = abs(curve.span + (phis[1] - phis[0]) - TWO_PI) < 1e-9
+    period = phis[-1] - phis[0] + (phis[1] - phis[0])  # the span plus one step
+    if len(phis) * TWO_PI / period < 1000:
+        raise ValueError("peak counting needs at least 1000 samples per period")
 
     if midline is None:
-        shifted = (phis - lo) % TWO_PI
-        in_window = shifted <= (hi - lo) % TWO_PI if (hi - lo) < TWO_PI else np.ones(n, bool)
-        if not np.any(in_window):
+        windowed = values[_in_window(phis, lo, hi)[1]]
+        if not len(windowed):
             return np.empty(0, int), 0.0
-        windowed = values[in_window]
         mid = 0.5 * (float(np.max(windowed)) + float(np.min(windowed)))
     else:
         mid = float(midline)
@@ -321,22 +312,14 @@ def _raw_peaks(curve: SignalCurve, lo: float, hi: float, side: str, midline, thr
         signal = mid - values
     else:
         signal = np.abs(values - mid)
-
-    peaks = (signal > np.roll(signal, 1)) & (signal > np.roll(signal, -1)) & (signal > threshold)
-    if not periodic:
-        peaks[[0, -1]] = False
-    return np.flatnonzero(peaks), mid
+    peaks = _strict_maxima(signal, abs(period - TWO_PI) < 1e-9)
+    return peaks[signal[peaks] > threshold], mid
 
 
-def _in_window(positions, lo: float, hi: float) -> list[float]:
-    """Positions mapped into [lo, lo + 2 pi), keeping those inside the window, sorted."""
-    width = hi - lo
-    result = []
-    for phi0 in positions:
-        mapped = lo + ((phi0 - lo) % TWO_PI)
-        if mapped <= hi or (width >= TWO_PI - 1e-12):
-            result.append(mapped)
-    return sorted(result)
+def _in_window(positions: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions mapped into [lo, lo + 2 pi), and which of them lie inside the window (all, if it spans a period)."""
+    mapped = lo + (positions - lo) % TWO_PI
+    return mapped, (mapped <= hi) | (hi - lo >= TWO_PI - 1e-12)
 
 
 def peak_locations(
@@ -360,15 +343,18 @@ def peak_locations(
     raw, mid = _raw_peaks(curve, lo, hi, side, midline, threshold)
     phis, f = curve.phis, curve.evaluator
     if f is None:
-        return _in_window([float(phis[i]) for i in raw], lo, hi)
-    step = phis[1] - phis[0]
-    if side == "upper":
-        g = f
-    elif side == "lower":
-        g = lambda x: -f(x)
+        positions = phis[raw]
     else:
-        g = lambda x: np.abs(f(x) - mid)
-    return _in_window(_lockstep(g, [_golden_search(phis[i] - step, phis[i] + step) for i in raw]), lo, hi)
+        step = phis[1] - phis[0]
+        if side == "upper":
+            g = f
+        elif side == "lower":
+            g = lambda x: -f(x)
+        else:
+            g = lambda x: np.abs(f(x) - mid)
+        positions = np.array(_lockstep(g, [_golden_search(phis[i] - step, phis[i] + step) for i in raw]), dtype=float)
+    mapped, inside = _in_window(positions, lo, hi)
+    return np.sort(mapped[inside]).tolist()
 
 
 def peak_count(

@@ -77,7 +77,7 @@ def overlap(a: complex, b: complex) -> complex:
 
 
 class StateKind(Enum):
-    """The six parametric input states plus explicit term lists."""
+    """The six parametric input states; any other superposition is built as ``SuperposedState(weights, amplitudes)``."""
 
     CS = "cs"
     ECSS = "ecss"
@@ -85,7 +85,6 @@ class StateKind(Enum):
     MPS1 = "mps1"
     MPS2 = "mps2"
     MPS3 = "mps3"
-    CUSTOM = "custom"
 
     @classmethod
     def parse(cls, name: str) -> "StateKind":
@@ -160,7 +159,7 @@ def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     if kind in MPS_INDEX:
         j = MPS_INDEX[kind]
         return SuperposedState([(-1j) ** (j * m) for m in range(4)], [1j**m * alpha for m in range(4)])
-    raise ValueError("custom states carry explicit weight and amplitude arrays; use SuperposedState(weights, amplitudes)")
+    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def vacuum() -> SuperposedState:

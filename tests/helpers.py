@@ -363,10 +363,45 @@ def reference_crossing(phis, values, best_idx: int, sign: float, half: float, le
     return reference_bisect_crossing(level, phis[outside], phis[inside], g_out, g_in)
 
 
+def reference_principal_peak(values, baseline):
+    """met._principal_peak as per-sample loops: the first extremum farthest from its baseline, upright on ties."""
+    n = len(values)
+    maxima = [i for i in range(1, n - 1) if values[i - 1] < values[i] > values[i + 1]]
+    minima = [i for i in range(1, n - 1) if values[i - 1] > values[i] < values[i + 1]]
+    if not maxima and not minima:
+        raise met.NoPeak("curve is monotone over its domain")
+    vmin, vmax = float(np.min(values)), float(np.max(values))
+    base_up = vmin if baseline is None else float(baseline)
+    base_down = vmax if baseline is None else float(baseline)
+    up_dev, up_idx = -math.inf, None
+    for i in maxima:
+        if values[i] - base_up > up_dev:
+            up_dev, up_idx = values[i] - base_up, i
+    down_dev, down_idx = -math.inf, None
+    for i in minima:
+        if base_down - values[i] > down_dev:
+            down_dev, down_idx = base_down - values[i], i
+    inverted = down_dev > up_dev + 1e-12 * max(1.0, vmax - vmin)
+    best_idx = down_idx if inverted else up_idx
+    if best_idx is None or (not inverted and up_dev <= 0.0) or (inverted and down_dev <= 0.0):
+        raise met.NoPeak("no extremum stands out from the baseline")
+    return (best_idx, -1.0, base_down) if inverted else (best_idx, 1.0, base_up)
+
+
+def reference_in_window(positions, lo: float, hi: float) -> list[float]:
+    """The positions mapped into [lo, lo + 2 pi) that lie inside the window (all, if it spans a period), sorted."""
+    result = []
+    for phi0 in positions:
+        mapped = lo + ((float(phi0) - lo) % met.TWO_PI)
+        if mapped <= hi or (hi - lo >= met.TWO_PI - 1e-12):
+            result.append(mapped)
+    return sorted(result)
+
+
 def reference_fwhm(curve, baseline=None) -> float:
     """met.fwhm with each search run on its own, one float call of the evaluator at a time."""
     phis, values = curve.phis, curve.values
-    best_idx, sign, baseline = met._principal_peak(values, baseline)
+    best_idx, sign, baseline = reference_principal_peak(values, baseline)
     if curve.evaluator is not None:
         f = curve.evaluator
         peak_phi = reference_golden_extremum(lambda x: sign * f(x), phis[best_idx - 1], phis[best_idx + 1])
@@ -398,7 +433,7 @@ def reference_peak_locations(curve, window, side="upper", midline=None, threshol
                 g = lambda x: abs(curve.evaluator(x) - mid)
             phi0 = reference_golden_extremum(g, phi0 - step, phi0 + step)
         positions.append(phi0)
-    return met._in_window(positions, lo, hi)
+    return reference_in_window(positions, lo, hi)
 
 
 def reference_mod4_series(j: int, x: float) -> float:

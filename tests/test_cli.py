@@ -407,6 +407,13 @@ class TestSpecHandling:
             (["signal", "--state-a", "mps3", "--alpha2", "1e-9", "--phi-steps", "3"], 4, "numerical limit: Gram sum "),
             (["signal", "--state-a", "mps3", "--alpha2", "1e-9", "--phi-steps", "1"], 1, "invalid spec: phi-steps"),
             (["sensitivity", "--state-a", "vacuum", "--phi-steps", "3"], 1, "invalid spec: total input photon number"),
+            (["signal", "--alpha2", "-1"], 1, "invalid spec: state energy must be nonnegative\n"),
+            (["signal", "--phi-min", "1", "--phi-max", "1"], 1, "invalid spec: phi-max must exceed phi-min\n"),
+            (["signal", "--state-a", ","], 1, "invalid spec: state-a must name at least one state\n"),
+            # an explicit superposition is a library object, not a state kind
+            (["signal", "--state-a", "custom"], 1, "invalid spec: unknown state kind 'custom' (expected one of:"),
+            (["fwhm", "--alpha2-min", "0"], 1, "invalid spec: alpha2 grid must be positive and increasing\n"),
+            (["loss", "--r-min", "0.4", "--r-max", "0.2"], 1, "invalid spec: loss grid must satisfy r-min <= r-max\n"),
         ],
     )
     def test_limit_or_spec_exit_code(self, args, code, message, tmp_path, capsys):
@@ -449,10 +456,12 @@ class TestSpecHandling:
         assert capsys.readouterr().err == f"numerical limit: {error}\n"
         assert not out.exists()
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_io_error_exit_code(self, flag, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
-        code = run_cli(["signal", "--state-a", "cs", "--phi-steps", "3", "--out", str(missing)])
+        code = run_cli(["signal", "--state-a", "cs", "--phi-steps", "3", flag, str(missing)])
         assert code == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error: cannot ")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -466,10 +475,18 @@ class TestSpecHandling:
         _, rows = read_csv(out2)
         assert len(rows) == 6
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("wavelength = 3\n", "unrecognized arguments: --wavelength=3"),
+            ("# spec\nstate-a ecss\n", ":2: expected key=value"),
+        ],
+    )
+    def test_bad_config_line(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("wavelength = 3\n")
+        cfg.write_text(text)
         assert run_cli(["signal", "--config", str(cfg)]) == cli.EXIT_INVALID_SPEC
+        assert capsys.readouterr().err.endswith(f"{message}\n")
 
 
 # flags that each subcommand does not read, with values other subcommands accept

@@ -129,5 +129,5 @@ def test_wigner_closed_form_matches_kernel():
 
 
 def test_context_rejects_custom():
-    with pytest.raises(ValueError):
-        cf.closed_form_context(StateKind.CUSTOM, 1.0, MziConfig.lossless(0.0))
+    with pytest.raises(ValueError, match="^no closed form for state kind custom$"):
+        cf.closed_form_context("custom", 1.0, MziConfig.lossless(0.0))

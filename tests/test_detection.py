@@ -65,7 +65,7 @@ class TestOnePassDistribution:
     def _outputs(self, count, seed):
         # |amplitude| >= 0.5 keeps the four-component weights, which grow like |alpha|^-3, well conditioned
         rng = np.random.default_rng(seed)
-        kinds = [k for k in StateKind if k is not StateKind.CUSTOM]
+        kinds = list(StateKind)
         for _ in range(count):
             sa, sb = (
                 make_state(kinds[rng.integers(len(kinds))], cmath.rect(rng.uniform(0.5, hi), rng.uniform(-3, 3)))

@@ -213,7 +213,7 @@ class TestArrayFormsMatchLoops:
         outside[n_a, n_b] = False
         assert not np.any(out[outside])
 
-    @pytest.mark.parametrize("kind_a", [k for k in StateKind if k is not StateKind.CUSTOM])
+    @pytest.mark.parametrize("kind_a", list(StateKind))
     @pytest.mark.parametrize("kind_b", [StateKind.CS, StateKind.MPS2])
     def test_encode_matches_pairwise_reference(self, kind_a, kind_b):
         sa, sb = make_state(kind_a, 1.3 + 0.4j), make_state(kind_b, 0.7 - 0.2j)

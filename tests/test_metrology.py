@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_in_window, reference_principal_peak
 from qlidar import detection, metrology as met
 from qlidar import states
 from qlidar.detection import Scheme
@@ -68,6 +69,20 @@ class TestFwhm:
         with pytest.raises(met.NoPeak):
             met.fwhm(curve)
 
+    def test_crossing_bracket_widens_past_the_samples(self):
+        # the samples cross the half level at +-pi/2 and the evaluator at +-pi/1.8, so each
+        # crossing search moves its outer end past the samples until the evaluator changes sign
+        phis = met.periodic_phase_grid()
+        wider = lambda x: np.cos(0.9 * x)
+        curve = met.SignalCurve(phis=phis, values=np.cos(phis), scheme=Scheme.PARITY, evaluator=wider)
+        assert met.fwhm(curve) == pytest.approx(2 * math.pi / 1.8, abs=2 * met.REFINE_TOL)
+
+    def test_half_level_below_the_samples(self):
+        # z of cs at |alpha|^2 = 0.5 stays above 0.6: measured from a zero baseline, its half level is never crossed
+        curve = met.sample_curve(make_state(StateKind.CS, math.sqrt(0.5)), vacuum(), Scheme.Z)
+        with pytest.raises(met.NoPeak, match="^half level is never crossed on both sides of the peak$"):
+            met.fwhm(curve, baseline=0.0)
+
     def test_inverted_peak(self):
         phis = np.linspace(-1, 1, 401)
         values = 1.0 - 0.8 * np.exp(-((phis / 0.2) ** 2))
@@ -108,6 +123,22 @@ class TestStoredWidths:
         assert off == {}
 
 
+class TestSignalCurve:
+    @pytest.mark.parametrize(
+        "phis,values,message",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 2)), "phis and values must be matching 1-D arrays"),
+            (np.linspace(0.0, 1.0, 5), np.zeros(4), "phis and values must be matching 1-D arrays"),
+            ([0.0], [1.0], "phis must be strictly increasing with at least 2 samples"),
+            ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], "phis must be strictly increasing with at least 2 samples"),
+            ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], "phis must be strictly increasing with at least 2 samples"),
+        ],
+    )
+    def test_rejects_malformed_samples(self, phis, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            met.SignalCurve(phis=phis, values=values, scheme=Scheme.PARITY)
+
+
 class TestPeakCount:
     def _curve(self, kind, alpha2=2.0, scheme=Scheme.PARITY):
         return met.sample_curve(make_state(kind, math.sqrt(alpha2)), vacuum(), scheme)
@@ -134,8 +165,8 @@ class TestPeakCount:
         assert met.peak_count(curve, (-math.pi + 2 * math.pi, math.pi + 2 * math.pi)) == base
 
     def test_scans_match_per_sample_loops(self):
-        # tie-heavy integer samples: the array comparisons must pick exactly the
-        # indices of the per-sample scans they replaced
+        # tie-heavy integer samples: the array scans must pick exactly the indices, the principal
+        # peak and the window members of the per-sample loops they replaced
         def loop_extrema(v):
             maxima = [i for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]]
             minima = [i for i in range(1, len(v) - 1) if v[i - 1] > v[i] < v[i + 1]]
@@ -150,8 +181,23 @@ class TestPeakCount:
         for n, periodic in ((2048, True), (2048, False), (5, False)):
             for _ in range(20):
                 values = rng.integers(-2, 3, size=n).astype(float)
-                maxima, minima = met._interior_extrema(values)
+                maxima, minima = met._strict_maxima(values, False), met._strict_maxima(-values, False)
                 assert (maxima.tolist(), minima.tolist()) == loop_extrema(values)
+                for baseline in (None, 0.0, -0.5, 2.0, math.nan):
+                    try:
+                        want = reference_principal_peak(values, baseline)
+                    except met.NoPeak as exc:
+                        with pytest.raises(met.NoPeak, match=f"^{exc}$"):
+                            met._principal_peak(values, baseline)
+                    else:
+                        assert met._principal_peak(values, baseline) == want
+                lo = float(rng.uniform(-8.0, 8.0))
+                for width in (1e-4, 2.5, 2 * math.pi - 2e-12, 2 * math.pi - 1e-13, 2 * math.pi, 9.0):
+                    hi = lo + width
+                    edges = [lo, hi, lo - 1e-14, lo - 2 * math.pi, hi + 2 * math.pi]
+                    positions = np.concatenate((rng.uniform(-20.0, 20.0, n), edges))
+                    mapped, inside = met._in_window(positions, lo, hi)
+                    assert np.sort(mapped[inside]).tolist() == reference_in_window(positions, lo, hi)
                 if n < 1000:
                     continue
                 span = 2 * math.pi if periodic else 3.0
@@ -160,15 +206,28 @@ class TestPeakCount:
                 got = met.peak_locations(curve, (-math.pi, math.pi), midline=0.0, threshold=0.5)
                 assert got == pytest.approx(sorted(phis[loop_peaks(values, periodic, 0.5)]), abs=1e-12)
 
+    def test_default_midline_window_without_sample(self):
+        curve = self._curve(StateKind.ECSS)
+        step = curve.phis[1] - curve.phis[0]
+        lo = curve.phis[2048] + 0.25 * step
+        assert met.peak_locations(curve, (lo, lo + 0.5 * step)) == []
+
     def test_coarse_sampling_rejected(self):
         phis = np.linspace(-math.pi, math.pi, 64)
         curve = met.SignalCurve(phis=phis, values=np.cos(phis), scheme=Scheme.PARITY)
         with pytest.raises(ValueError):
             met.peak_count(curve, (-math.pi, math.pi))
 
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            met.peak_count(self._curve(StateKind.CS), (-1, 1), side="middle")
+    @pytest.mark.parametrize(
+        "window,side,message",
+        [
+            ((-1, 1), "middle", "side must be 'upper', 'lower' or 'folded'"),
+            ((1.0, 1.0), "upper", "window must have positive width"),
+        ],
+    )
+    def test_side_validation(self, window, side, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            met.peak_count(self._curve(StateKind.CS), window, side=side)
 
     def test_locations_are_refined(self):
         locs = met.peak_locations(self._curve(StateKind.ECSS), (-math.pi, math.pi))

@@ -18,7 +18,7 @@ from qlidar.states import (
     vacuum,
 )
 
-ALL_KINDS = [k for k in StateKind if k is not StateKind.CUSTOM]
+ALL_KINDS = list(StateKind)
 ALPHA2_GRID = [0.1, 0.5, 2.0, 8.0, 20.0]
 
 
@@ -88,9 +88,13 @@ class TestMakeState:
         assert np.allclose(s.amplitudes, [1j * alpha, -1j * alpha])
         assert s.weights[0] == pytest.approx(s.weights[1])
 
-    def test_custom_requires_explicit_terms(self):
-        with pytest.raises(ValueError):
-            make_state(StateKind.CUSTOM, 1.0)
+    def test_custom_is_an_unknown_kind(self):
+        # an explicit superposition is SuperposedState(weights, amplitudes), not a kind
+        valid = "cs, ecss, mps0, mps1, mps2, mps3"
+        with pytest.raises(ValueError, match=f"^unknown state kind 'custom' \\(expected one of: {valid}\\)$"):
+            StateKind.parse("custom")
+        with pytest.raises(ValueError, match="^unknown state kind 'custom'$"):
+            make_state("custom", 1.0)
 
     def test_kind_parse(self):
         assert StateKind.parse(" MPS2 ") is StateKind.MPS2
