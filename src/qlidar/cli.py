@@ -37,7 +37,7 @@ EXIT_NUMERICAL = 4
 ORACLE_TOLERANCE = 1e-8
 MAX_ROWS = wigner.MAX_RESOLUTION**2  # grid steps of any sweep: no more rows than the largest wigner grid
 
-SIX_STATES = ("cs", "ecss", "mps0", "mps1", "mps2", "mps3")
+SIX_STATES = tuple(kind.value for kind in StateKind)
 
 
 class InvalidSpec(ValueError):

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interferometer import FourModeOutput, MziConfig, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
+from .interferometer import FourModeOutput, MziConfig, _check_cutoff, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
 from .states import IMAG_RESIDUE_TOL, CoherentOperator, SuperposedState, _overlap_exponent, _real_part
 
 NEGATIVE_PROBABILITY_TOL = -1e-10
@@ -66,10 +66,9 @@ _PORT_A_CROSS = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}
 
 @dataclass(frozen=True)
 class PortDistribution:
-    """P(n) at port a for n = 0..cutoff plus a bound on the truncated tail."""
+    """P(n) at port a for n = 0..cutoff, cutoff = len(probs) - 1, plus a bound on the truncated tail."""
 
     probs: np.ndarray
-    cutoff: int
     tail_bound: float
 
 
@@ -119,7 +118,7 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     gauss = -0.5 * (aa[:, None] + aa[None, :])
     vacuum_terms = np.exp(gauss) * rest
     p0 = _real_part(_pair_sum(w, vacuum_terms), "P(0)")
-    lowest = p0 if isinstance(p0, float) else p0.min()
+    lowest = p0 if isinstance(p0, float) else p0.min(initial=np.inf)
     if lowest < NEGATIVE_PROBABILITY_TOL:
         bad = (p0 < NEGATIVE_PROBABILITY_TOL) & (p0 < -_p0_rounding_bound(w, vacuum_terms))
         if np.any(bad):
@@ -155,13 +154,6 @@ def _p0_rounding_bound(w: np.ndarray, vacuum_terms: np.ndarray):
     return len(w) ** 2 * 2.0**-53 * np.einsum("i,ij...,j->...", absw, np.abs(vacuum_terms), absw)
 
 
-def photon_probability(out: FourModeOutput, n: int) -> float:
-    """Probability of counting exactly n photons at port a."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    return float(_photon_probabilities(*_pair_data(_one_phase(out)), n)[n])
-
-
 def default_cutoff(out: FourModeOutput) -> int:
     """Truncation making the port-a Poisson tails negligible for every term."""
     mean = float(np.max(np.abs(_one_phase(out).amplitudes[:, 0]) ** 2))
@@ -183,14 +175,13 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
 
 
 def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDistribution:
-    """P(n) for n = 0..cutoff with a Cauchy-Schwarz bound on the dropped tail."""
-    if cutoff is None:
-        cutoff = default_cutoff(out)
+    """P(n) for n = 0..cutoff, a nonnegative integer (default :func:`default_cutoff`), with a Cauchy-Schwarz tail bound."""
+    cutoff = default_cutoff(out) if cutoff is None else _check_cutoff(cutoff)
     w, a, rest = _pair_data(_one_phase(out))
     probs = _photon_probabilities(w, a, rest, cutoff)
     tails = np.array([_poisson_tail_bound(float(lam), cutoff) for lam in np.abs(a) ** 2])
     bound = np.abs(np.conj(w)[:, None] * w[None, :] * rest) * np.sqrt(tails[:, None] * tails[None, :])
-    return PortDistribution(probs=probs, cutoff=cutoff, tail_bound=float(np.sum(bound)))
+    return PortDistribution(probs=probs, tail_bound=float(np.sum(bound)))
 
 
 def parity_expectation(out: FourModeOutput):
@@ -227,7 +218,7 @@ def expectation_evaluator(
     """<Pi> or <Z> as a function of the phase, with the input pairs built once.
 
     A float gives a float; a 1-D array of phases gives an array, each element
-    bit-identical to the float call at that phase.
+    bit-identical to the float call at that phase; more axes raise ValueError.
     """
     weights, amps_in = _input_pairs(state_a, state_b)
     loss_r = _check_loss(loss_r)
@@ -284,8 +275,8 @@ def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndar
 
 
 def _is_period(phis: np.ndarray) -> bool:
-    """Whether the phases are bit for bit the :func:`periodic_phase_grid` of their count and first phase."""
-    return phis.ndim == 1 and len(phis) > 1 and phis.tobytes() == periodic_phase_grid(len(phis), phis[0]).tobytes()
+    """Whether the 1-D phases are bit for bit the :func:`periodic_phase_grid` of their count and first phase."""
+    return len(phis) > 1 and phis.tobytes() == periodic_phase_grid(len(phis), phis[0]).tobytes()
 
 
 def _period_length(phis: np.ndarray) -> int:
@@ -296,7 +287,7 @@ def _period_length(phis: np.ndarray) -> int:
     """
     if _is_period(phis):
         return len(phis)
-    closed = phis.ndim == 1 and len(phis) > 2 and phis[-1] == phis[0] + TWO_PI and _is_period(phis[:-1])
+    closed = len(phis) > 2 and phis[-1] == phis[0] + TWO_PI and _is_period(phis[:-1])
     return len(phis) - 1 if closed else 0
 
 
@@ -372,6 +363,8 @@ def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivativ
     """
     w, amps_in = _input_pairs(state_a, state_b)
     phis = _check_phase(phis)
+    if np.ndim(phis) != 1:
+        raise ValueError("phases of a curve must be a 1-D array")
     loss_r = _check_loss(loss_r)
     stride = 1
     n_period = 0 if want_derivative or direct else _period_length(phis)
@@ -401,7 +394,7 @@ def expectation_curve(
     *,
     direct: bool = False,
 ) -> np.ndarray:
-    """Vectorized <Pi> or <Z> over a grid of phase values.
+    """Vectorized <Pi> or <Z> over a 1-D grid of phase values.
 
     On one full period of n phases, open (bit for bit ``periodic_phase_grid(n,
     phis[0])``) or closed (bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI,
@@ -430,7 +423,7 @@ def expectation_derivative_curve(
     phis,
     loss_r: float = 0.0,
 ) -> np.ndarray:
-    """Vectorized analytic d<X>/dphi over a grid of phase values.
+    """Vectorized analytic d<X>/dphi over a 1-D grid of phase values.
 
     Each pair term differentiates to itself times the derivative of its exponent, which port a's
     amplitudes alone carry (:func:`_curve_values`); no finite differencing is involved.

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interferometer import MziConfig
+from .interferometer import MziConfig, _check_cutoff
 from .states import SuperposedState
 
 ENCODE_TAIL_LIMIT = 1e-10
@@ -190,8 +190,7 @@ def simulate(
     tracing port b and the environment leaves binomial thinning of the
     lossless photon count.  Unequal arm losses would not commute this way.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(state_a, state_b)
+    cutoff = default_cutoff(state_a, state_b) if cutoff is None else _check_cutoff(cutoff)
     vec = encode(state_a, state_b, cutoff)
     psi = _apply_beam_splitter(vec.amplitudes)
     psi = _apply_phase(psi, config.phi)

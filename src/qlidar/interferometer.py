@@ -12,6 +12,7 @@ modes (port a, port b, environment of arm a, environment of arm b).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,11 @@ from .states import SuperposedState
 
 
 def _check_phase(phi):
-    """Return a float ``phi``, or any other phases as a float array, unless some value is not finite."""
+    """Return a float ``phi``, or other phases as a float array of at most one axis, unless some value is not finite."""
     if not isinstance(phi, float):
         phi = np.asarray(phi, dtype=float)
+        if phi.ndim > 1:
+            raise ValueError(f"phases must be a float or a 1-D array, got shape {phi.shape}")
     if not (math.isfinite(phi) if isinstance(phi, float) else np.isfinite(phi).all()):
         raise ValueError("phi must be finite")
     return phi
@@ -37,6 +40,13 @@ def _check_loss(loss_r) -> float:
     if not 0.0 <= loss_r < 1.0:
         raise ValueError(f"loss_r must lie in [0, 1), got {loss_r}")
     return loss_r
+
+
+def _check_cutoff(cutoff) -> int:
+    """Return ``cutoff`` as an int unless it is not a nonnegative integer: the highest photon number kept."""
+    if not isinstance(cutoff, numbers.Integral) or cutoff < 0:
+        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
+    return int(cutoff)
 
 
 @dataclass(frozen=True)
@@ -56,10 +66,6 @@ class MziConfig:
     @property
     def loss_t(self) -> float:
         return math.sqrt(1.0 - self.loss_r**2)
-
-    @classmethod
-    def lossless(cls, phi: float) -> "MziConfig":
-        return cls(phi=phi, loss_r=0.0)
 
 
 def _transfer_matrix(phi, loss_r: float, with_derivative: bool = False):

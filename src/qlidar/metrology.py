@@ -56,7 +56,6 @@ class SignalCurve:
 
     phis: np.ndarray
     values: np.ndarray
-    scheme: Scheme
     evaluator: Callable | None = None  # a float gives a float, a 1-D array of phases an array
 
     def __post_init__(self):
@@ -82,12 +81,10 @@ def sample_curve(
     The widths and peaks refined from it keep the last bits of the direct kernel;
     see the ``direct`` keyword of :func:`~qlidar.detection.expectation_curve`.
     """
-    if phis is None:
-        phis = periodic_phase_grid()
-    phis = np.asarray(phis, dtype=float)
+    phis = periodic_phase_grid() if phis is None else np.asarray(phis, dtype=float)
     values = detection.expectation_curve(state_a, state_b, scheme, phis, loss_r, direct=True)
     evaluator = detection.expectation_evaluator(state_a, state_b, scheme, loss_r)
-    return SignalCurve(phis=phis, values=values, scheme=scheme, evaluator=evaluator)
+    return SignalCurve(phis=phis, values=values, evaluator=evaluator)
 
 
 class SensitivityPoint(NamedTuple):
@@ -291,6 +288,8 @@ def _raw_peaks(curve: SignalCurve, lo: float, hi: float, side: str, midline, thr
     """Sample indices of the one-sided peaks of a curve and the midline they are measured from; see peak_locations."""
     if side not in ("upper", "lower", "folded"):
         raise ValueError("side must be 'upper', 'lower' or 'folded'")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("window bounds must be finite")
     if not hi > lo:
         raise ValueError("window must have positive width")
     phis, values = curve.phis, curve.values
@@ -355,17 +354,6 @@ def peak_locations(
         positions = np.array(_lockstep(g, [_golden_search(phis[i] - step, phis[i] + step) for i in raw]), dtype=float)
     mapped, inside = _in_window(positions, lo, hi)
     return np.sort(mapped[inside]).tolist()
-
-
-def peak_count(
-    curve: SignalCurve,
-    window: tuple[float, float],
-    side: str = "upper",
-    midline: float | None = None,
-    threshold: float = PEAK_NOISE_THRESHOLD,
-) -> int:
-    """Number of one-sided fringe peaks inside the window; see peak_locations."""
-    return len(peak_locations(curve, window, side=side, midline=midline, threshold=threshold))
 
 
 def loss_sweep(

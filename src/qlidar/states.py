@@ -139,11 +139,6 @@ def gram_sum(weights, amplitudes) -> float:
     return _gram(*_coherent_arrays(weights, amplitudes))
 
 
-def normalization_constant(weights, amplitudes) -> float:
-    """Scale factor that normalizes sum_k w_k |a_k>, (sum_ij conj(w_i) w_j <a_i|a_j>)^(-1/2)."""
-    return _inverse_norm(gram_sum(weights, amplitudes))
-
-
 def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     """Build a normalized state of the given kind with coherent amplitude ``alpha``.
 

@@ -37,20 +37,13 @@ def _second_input(zeta2):
     return vacuum() if zeta2 == 0.0 else make_state(StateKind.CS, math.sqrt(zeta2))
 
 
-def grid_points():
-    for kind in SIX:
-        for alpha2 in (0.5, 2.0, 8.0):
-            for zeta2 in (0.0, 2.0, 25.0):
-                for phi in (0.3, 1.1, 2.7):
-                    for loss_r in (0.0, 0.2, 0.5):
-                        yield kind, alpha2, zeta2, phi, loss_r
-
-
 def test_criterion_1_oracle_equivalence():
     start = time.time()
     worst = 0.0
     count = 0
-    for kind, alpha2, zeta2, phi, loss_r in grid_points():
+    # the grid of `qlidar oracle-check`, each state by name
+    for name, alpha2, zeta2, phi, loss_r in cli.oracle_grid():
+        kind = StateKind(name)
         sa = make_state(kind, math.sqrt(alpha2))
         sb = _second_input(zeta2)
         config = MziConfig(phi=phi, loss_r=loss_r)
@@ -71,7 +64,8 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_closed_form_transcription():
     worst = 0.0
-    for kind, alpha2, zeta2, phi, loss_r in grid_points():
+    for name, alpha2, zeta2, phi, loss_r in cli.oracle_grid():
+        kind = StateKind(name)
         sa = make_state(kind, math.sqrt(alpha2))
         sb = _second_input(zeta2)
         config = MziConfig(phi=phi, loss_r=loss_r)
@@ -116,7 +110,7 @@ def test_criterion_4_foldness_low_energy():
     counts = {}
     for kind in SIX:
         curve = met.sample_curve(make_state(kind, math.sqrt(2.0)), vacuum(), Scheme.PARITY)
-        counts[kind] = met.peak_count(curve, (-math.pi, math.pi), side="folded", midline=0.0)
+        counts[kind] = len(met.peak_locations(curve, (-math.pi, math.pi), side="folded", midline=0.0))
     assert counts[StateKind.CS] == 1
     for kind in NONCLASSICAL:
         assert counts[kind] == 2, kind
@@ -133,9 +127,9 @@ def test_criterion_5_foldness_high_energy():
         assert mean_photon_number(sa) == pytest.approx(51.0, abs=1e-9)
         curve = met.sample_curve(sa, sb, Scheme.PARITY, phis=phis)
         side = "lower" if kind in (StateKind.MPS1, StateKind.MPS3) else "upper"
-        mid_counts[kind] = met.peak_count(curve, MID_WINDOW, side=side, midline=0.0)
+        mid_counts[kind] = len(met.peak_locations(curve, MID_WINDOW, side=side, midline=0.0))
         extras[kind] = tuple(
-            met.peak_count(curve, win, side="upper", midline=0.0, threshold=1e-6)
+            len(met.peak_locations(curve, win, side="upper", midline=0.0, threshold=1e-6))
             for win in EXTRA_WINDOWS
         )
     for kind in NONCLASSICAL:
@@ -170,7 +164,7 @@ def test_criterion_6_fwhm_convergence():
 
 def test_criterion_7_snl_saturation():
     point = met.phase_sensitivity(
-        make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig.lossless(0.02), Scheme.PARITY
+        make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
     )
     assert 0.98 <= point.ratio <= 1.05
     _passline(7, f"coherent-state ratio at phi=0.02 is {point.ratio:.5f}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -67,7 +68,6 @@ class TestSignal:
 
     def test_fig2_style_foldness(self, tmp_path):
         from qlidar import metrology as met
-        from qlidar.detection import Scheme
 
         out = tmp_path / "mps0.csv"
         code = run_cli(
@@ -81,8 +81,8 @@ class TestSignal:
         _, rows = read_csv(out)
         phis = np.array([float(r[0]) for r in rows])
         vals = np.array([float(r[1]) for r in rows])
-        curve = met.SignalCurve(phis=phis, values=vals, scheme=Scheme.PARITY)
-        assert met.peak_count(curve, (-math.pi, math.pi), side="folded", midline=0.0) == 2
+        curve = met.SignalCurve(phis=phis, values=vals)
+        assert len(met.peak_locations(curve, (-math.pi, math.pi), side="folded", midline=0.0)) == 2
 
 
 class TestSensitivity:
@@ -298,7 +298,7 @@ class TestLoss:
         from qlidar.states import StateKind, make_state, vacuum
 
         lossless = met.phase_sensitivity(
-            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig.lossless(0.02), Scheme.PARITY
+            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
         )
         assert float(rows[0][1]) == pytest.approx(lossless.ratio, abs=1e-12)
 
@@ -312,6 +312,22 @@ class TestOracleCheck:
         assert header == ["state", "alpha2", "zeta2", "phi", "loss_r", "d_parity", "d_zero", "d_pn"]
         assert len(rows) == 16
         assert max(float(r[5]) for r in rows) < 1e-8
+
+    def test_disagreement_exits_2_after_writing_every_row(self, tmp_path, capsys, monkeypatch):
+        simulate = fock_oracle.simulate
+
+        def shifted(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            return dataclasses.replace(result, parity=result.parity + 1e-6)
+
+        monkeypatch.setattr(fock_oracle, "simulate", shifted)
+        out = tmp_path / "oracle.csv"
+        assert run_cli(["oracle-check", "--quick", "--out", str(out)]) == cli.EXIT_ORACLE_MISMATCH
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL: disagreement exceeds 1e-08"
+        header, rows = read_csv(out)
+        assert header == ["state", "alpha2", "zeta2", "phi", "loss_r", "d_parity", "d_zero", "d_pn"]
+        assert [(r[0], *map(float, r[1:5])) for r in rows] == list(cli.oracle_grid(quick=True))
+        assert all(len(r) == 8 and float(r[5]) == pytest.approx(1e-6, abs=1e-8) for r in rows)
 
 
 class TestSpecHandling:

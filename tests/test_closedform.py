@@ -53,7 +53,7 @@ def test_vacuum_input_forms(kind):
                 assert c_minus == pytest.approx(p_minus, abs=TOL)
                 for n in (0, 1, 3, 6):
                     assert cf.photon_prob_vacuum(ctx, n) == pytest.approx(
-                        detection.photon_probability(out, n), abs=TOL
+                        detection.port_distribution(out, cutoff=n).probs[n], abs=TOL
                     )
 
 
@@ -84,7 +84,7 @@ def test_coherent_input_forms(kind, zeta2):
                 assert c_minus == pytest.approx(p_minus, abs=TOL)
                 for n in (0, 2, 5):
                     assert cf.photon_prob_coherent(ctx, n) == pytest.approx(
-                        detection.photon_probability(out, n), abs=TOL
+                        detection.port_distribution(out, cutoff=n).probs[n], abs=TOL
                     )
 
 
@@ -101,7 +101,7 @@ def test_normalization_sign_pairing():
     # the +/- pair resolves as +, +, -, - for j = 0..3
     for j, alpha2 in [(0, 2.0), (1, 2.0), (2, 3.0), (3, 1.0)]:
         kind = [StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3][j]
-        ctx = cf.closed_form_context(kind, alpha2, MziConfig.lossless(0.1))
+        ctx = cf.closed_form_context(kind, alpha2, MziConfig(phi=0.1))
         assert cf.normalization_mps(j, alpha2) == pytest.approx(math.sqrt(ctx.norm_sq), abs=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_mean_photon_matches_states_module():
 
     for kind in KINDS:
         for alpha2 in ALPHA2S:
-            ctx = cf.closed_form_context(kind, alpha2, MziConfig.lossless(0.0))
+            ctx = cf.closed_form_context(kind, alpha2, MziConfig(phi=0.0))
             assert cf.mean_photon(ctx) == pytest.approx(
                 mean_photon_number(make_state(kind, math.sqrt(alpha2))), abs=1e-10
             )
@@ -130,4 +130,4 @@ def test_wigner_closed_form_matches_kernel():
 
 def test_context_rejects_custom():
     with pytest.raises(ValueError, match="^no closed form for state kind custom$"):
-        cf.closed_form_context("custom", 1.0, MziConfig.lossless(0.0))
+        cf.closed_form_context("custom", 1.0, MziConfig(phi=0.0))

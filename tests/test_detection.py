@@ -25,30 +25,31 @@ def cs(alpha2):
 class TestPhotonProbability:
     def test_coherent_vacuum_is_poisson(self):
         alpha2, phi = 2.0, 1.3
-        out = propagate(cs(alpha2), vacuum(), MziConfig.lossless(phi))
+        out = propagate(cs(alpha2), vacuum(), MziConfig(phi=phi))
         mean = alpha2 * math.sin(phi / 2) ** 2
         for n in range(8):
             expect = math.exp(-mean) * mean**n / math.factorial(n)
-            assert detection.photon_probability(out, n) == pytest.approx(expect, abs=1e-13)
+            assert detection.port_distribution(out, cutoff=n).probs[n] == pytest.approx(expect, abs=1e-13)
 
     def test_zero_phase_dark_port(self):
-        out = propagate(make_state(StateKind.MPS3, 1.3), vacuum(), MziConfig.lossless(0.0))
-        assert detection.photon_probability(out, 0) == pytest.approx(1.0, abs=1e-12)
+        out = propagate(make_state(StateKind.MPS3, 1.3), vacuum(), MziConfig(phi=0.0))
+        assert detection.port_distribution(out, cutoff=0).probs[0] == pytest.approx(1.0, abs=1e-12)
         for n in (1, 2, 5):
-            assert detection.photon_probability(out, n) == pytest.approx(0.0, abs=1e-12)
+            assert detection.port_distribution(out, cutoff=n).probs[n] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_oracle_distribution(self):
         sa = make_state(StateKind.MPS0, math.sqrt(2.0))
-        cfg = MziConfig.lossless(1.0)
+        cfg = MziConfig(phi=1.0)
         out = propagate(sa, vacuum(), cfg)
         res = fock_oracle.simulate(sa, vacuum(), cfg, cutoff=40)
         for n in range(31):
-            assert detection.photon_probability(out, n) == pytest.approx(res.probs[n], abs=1e-8)
+            assert detection.port_distribution(out, cutoff=n).probs[n] == pytest.approx(res.probs[n], abs=1e-8)
 
-    def test_negative_photon_number_rejected(self):
-        out = propagate(cs(1.0), vacuum(), MziConfig.lossless(0.5))
-        with pytest.raises(ValueError):
-            detection.photon_probability(out, -1)
+    @pytest.mark.parametrize("cutoff", [-1, 2.5])
+    def test_cutoff_must_be_a_nonnegative_integer(self, cutoff):
+        out = propagate(cs(1.0), vacuum(), MziConfig(phi=0.5))
+        with pytest.raises(ValueError, match=f"^cutoff must be a nonnegative integer, got {cutoff}$"):
+            detection.port_distribution(out, cutoff=cutoff)
 
     def test_distribution_accounts_for_everything(self):
         out = propagate(make_state(StateKind.MPS1, math.sqrt(2.0)), cs(2.0), MziConfig(phi=1.1, loss_r=0.2))
@@ -125,21 +126,21 @@ class TestParity:
     def test_coherent_vacuum_closed_form(self):
         alpha2 = 2.0
         for phi in (0.0, 0.6, 2.2):
-            out = propagate(cs(alpha2), vacuum(), MziConfig.lossless(phi))
+            out = propagate(cs(alpha2), vacuum(), MziConfig(phi=phi))
             expect = math.exp(-2 * alpha2 * math.sin(phi / 2) ** 2)
             assert detection.parity_expectation(out) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3])
     def test_port_swap_at_zero_phase(self, kind):
         zeta2 = 1.5
-        out = propagate(make_state(kind, 1.1), cs(zeta2), MziConfig.lossless(0.0))
+        out = propagate(make_state(kind, 1.1), cs(zeta2), MziConfig(phi=0.0))
         assert detection.parity_expectation(out) == pytest.approx(math.exp(-2 * zeta2), abs=1e-12)
         assert detection.z_expectation(out) == pytest.approx(math.exp(-zeta2), abs=1e-12)
 
     def test_equals_signed_photon_sum(self):
         out = propagate(make_state(StateKind.MPS2, math.sqrt(2.0)), cs(1.0), MziConfig(phi=0.9, loss_r=0.3))
         dist = detection.port_distribution(out)
-        signs = (-1.0) ** np.arange(dist.cutoff + 1)
+        signs = (-1.0) ** np.arange(len(dist.probs))
         assert detection.parity_expectation(out) == pytest.approx(float(signs @ dist.probs), abs=1e-10)
 
     def test_in_range(self):
@@ -154,7 +155,7 @@ class TestParity:
 class TestZ:
     def test_coherent_vacuum_closed_form(self):
         alpha2 = 2.0
-        out = propagate(cs(alpha2), vacuum(), MziConfig.lossless(math.pi))
+        out = propagate(cs(alpha2), vacuum(), MziConfig(phi=math.pi))
         assert detection.z_expectation(out) == pytest.approx(math.exp(-alpha2), abs=1e-12)
 
     def test_matches_oracle_with_loss(self):
@@ -166,19 +167,19 @@ class TestZ:
 
     def test_is_exactly_p0(self):
         out = propagate(make_state(StateKind.ECSS, 1.0), cs(0.5), MziConfig(phi=0.7, loss_r=0.1))
-        assert detection.z_expectation(out) == detection.photon_probability(out, 0)
+        assert detection.z_expectation(out) == detection.port_distribution(out, cutoff=0).probs[0]
 
 
 class TestBinaryProbabilities:
     def test_zero_phase(self):
-        out = propagate(make_state(StateKind.ECSS, 1.2), vacuum(), MziConfig.lossless(0.0))
+        out = propagate(make_state(StateKind.ECSS, 1.2), vacuum(), MziConfig(phi=0.0))
         p_plus, p_minus = binary_probabilities(out)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
 
     def test_coherent_even_odd_split(self):
         alpha2, phi = 2.0, 1.1
-        out = propagate(cs(alpha2), vacuum(), MziConfig.lossless(phi))
+        out = propagate(cs(alpha2), vacuum(), MziConfig(phi=phi))
         p = alpha2 * math.sin(phi / 2) ** 2
         p_plus, p_minus = binary_probabilities(out)
         assert p_plus == pytest.approx(0.5 * (1 + math.exp(-2 * p)), abs=1e-12)
@@ -186,7 +187,7 @@ class TestBinaryProbabilities:
 
     def test_matches_oracle_even_odd_sums(self):
         sa = make_state(StateKind.MPS0, math.sqrt(2.0))
-        cfg = MziConfig.lossless(1.3)
+        cfg = MziConfig(phi=1.3)
         res = fock_oracle.simulate(sa, vacuum(), cfg)
         evens = float(np.sum(res.probs[0::2]))
         odds = float(np.sum(res.probs[1::2]))
@@ -206,7 +207,7 @@ class TestDerivative:
     @pytest.mark.parametrize("scheme", [Scheme.PARITY, Scheme.Z])
     def test_zero_at_zero_phase_with_vacuum(self, kind, scheme):
         # with a vacuum second input both signals are even in phi
-        d = detection.expectation_derivative(make_state(kind, 1.2), vacuum(), MziConfig.lossless(0.0), scheme)
+        d = detection.expectation_derivative(make_state(kind, 1.2), vacuum(), MziConfig(phi=0.0), scheme)
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def _finite_difference(self, sa, sb, cfg, scheme, step=1e-5):
@@ -216,7 +217,7 @@ class TestDerivative:
 
     def test_coherent_parity_vs_finite_difference(self):
         sa = cs(2.0)
-        cfg = MziConfig.lossless(0.8)
+        cfg = MziConfig(phi=0.8)
         d = detection.expectation_derivative(sa, vacuum(), cfg, Scheme.PARITY)
         fd = self._finite_difference(sa, vacuum(), cfg, Scheme.PARITY)
         assert d == pytest.approx(fd, rel=1e-6)
@@ -224,7 +225,7 @@ class TestDerivative:
     def test_mps_coherent_z_vs_finite_difference(self):
         sa = make_state(StateKind.MPS2, math.sqrt(2.0))
         sb = cs(2.0)
-        cfg = MziConfig.lossless(0.7)
+        cfg = MziConfig(phi=0.7)
         d = detection.expectation_derivative(sa, sb, cfg, Scheme.Z)
         fd = self._finite_difference(sa, sb, cfg, Scheme.Z)
         assert d == pytest.approx(fd, rel=1e-6)
@@ -254,8 +255,8 @@ class TestInvariances:
         assert detection.parity_expectation(out_a) == pytest.approx(detection.parity_expectation(out_b), abs=1e-12)
         assert detection.z_expectation(out_a) == pytest.approx(detection.z_expectation(out_b), abs=1e-12)
         for n in (0, 1, 4):
-            assert detection.photon_probability(out_a, n) == pytest.approx(
-                detection.photon_probability(out_b, n), abs=1e-12
+            assert detection.port_distribution(out_a, cutoff=n).probs[n] == pytest.approx(
+                detection.port_distribution(out_b, cutoff=n).probs[n], abs=1e-12
             )
 
     def test_curves_match_pointwise_evaluation(self):
@@ -299,6 +300,39 @@ class TestInvariances:
         with pytest.raises(ValueError) as from_curve:
             sweep(make_state(StateKind.CS, 1.0), vacuum(), Scheme.PARITY, [0.0, 1.0], loss_r)
         assert str(from_curve.value) == str(from_config.value)
+
+    @pytest.mark.parametrize(
+        "phis,message",
+        [
+            (0.5, "phases of a curve must be a 1-D array"),
+            (np.zeros((2, 2)), r"phases must be a float or a 1-D array, got shape \(2, 2\)"),
+        ],
+        ids=["float", "2-D"],
+    )
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            detection.expectation_curve,
+            detection.expectation_derivative_curve,
+            metrology.sensitivity_curve,
+            metrology.sample_curve,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_curve_phases_are_one_axis(self, sweep, phis, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(make_state(StateKind.CS, 1.0), vacuum(), Scheme.PARITY, phis)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PARITY, Scheme.Z])
+    def test_evaluator_phases_are_a_float_or_one_axis(self, scheme):
+        evaluate = detection.expectation_evaluator(make_state(StateKind.MPS1, 1.0), vacuum(), scheme)
+        with pytest.raises(ValueError, match=r"^phases must be a float or a 1-D array, got shape \(1, 2\)$"):
+            evaluate(np.array([[0.1, 0.2]]))
+
+    @pytest.mark.parametrize("scheme", [Scheme.PARITY, Scheme.Z])
+    def test_evaluator_of_no_phases_is_empty(self, scheme):
+        evaluate = detection.expectation_evaluator(make_state(StateKind.MPS1, 1.0), vacuum(), scheme)
+        assert evaluate(np.array([])).tolist() == []
 
     def test_scheme_parse(self):
         assert Scheme.parse("PARITY") is Scheme.PARITY
@@ -356,7 +390,7 @@ class TestTracedModes:
                 out = propagate(sa, sb, MziConfig(phi=1.7, loss_r=loss_r))
                 w, a, rest = reference_pair_data(out)
                 dist = detection.port_distribution(out)
-                assert np.array_equal(dist.probs, detection._photon_probabilities(w, a, rest, dist.cutoff))
+                assert np.array_equal(dist.probs, detection._photon_probabilities(w, a, rest, len(dist.probs) - 1))
                 op = detection.reduced_port_a(out)
                 assert np.array_equal(op.coeffs, np.conj(w)[:, None] * w[None, :] * rest)
                 assert np.array_equal(op.amplitudes, a)

@@ -139,7 +139,7 @@ class TestSimulate:
     def test_coherent_lossless_poisson(self):
         alpha = math.sqrt(2.0)
         phi = 1.1
-        res = fo.simulate(make_state(StateKind.CS, alpha), vacuum(), MziConfig.lossless(phi))
+        res = fo.simulate(make_state(StateKind.CS, alpha), vacuum(), MziConfig(phi=phi))
         mean = alpha**2 * math.sin(phi / 2) ** 2
         ns = np.arange(len(res.probs))
         from scipy.special import gammaln
@@ -148,9 +148,14 @@ class TestSimulate:
         assert np.abs(res.probs - expect).max() < 1e-10
 
     def test_zero_phase_dark_port(self):
-        res = fo.simulate(make_state(StateKind.MPS1, math.sqrt(2.0)), vacuum(), MziConfig.lossless(0.0))
+        res = fo.simulate(make_state(StateKind.MPS1, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.0))
         assert res.zero == pytest.approx(1.0, abs=1e-12)
         assert res.parity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [-1, 2.5])
+    def test_cutoff_must_be_a_nonnegative_integer(self, cutoff):
+        with pytest.raises(ValueError, match=f"^cutoff must be a nonnegative integer, got {cutoff}$"):
+            fo.simulate(make_state(StateKind.CS, 1.0), vacuum(), MziConfig(phi=0.3), cutoff=cutoff)
 
     def test_probabilities_sum_to_one(self):
         res = fo.simulate(make_state(StateKind.MPS0, 1.0), make_state(StateKind.CS, 1.0), MziConfig(phi=0.8, loss_r=0.4))

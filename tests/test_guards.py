@@ -139,7 +139,7 @@ class TestP0Floor:
             out = propagate(self.STATE, vacuum(), MziConfig(phi=phi))
             probs = detection.port_distribution(out).probs
             assert probs[0] == detection.z_expectation(out)
-            assert probs[2] == detection.photon_probability(out, 2)
+            assert probs[2] == detection.port_distribution(out, cutoff=2).probs[2]
 
     @pytest.mark.parametrize(
         "p0_of",
@@ -186,11 +186,11 @@ def _phase_axis_output():
     "call",
     [
         detection.port_distribution,
-        lambda out: detection.photon_probability(out, 2),
+        lambda out: detection.port_distribution(out, cutoff=2),
         detection.reduced_port_a,
         detection.default_cutoff,
     ],
-    ids=["port_distribution", "photon_probability", "reduced_port_a", "default_cutoff"],
+    ids=["port_distribution", "port_distribution_cutoff", "reduced_port_a", "default_cutoff"],
 )
 def test_phase_axis_output_rejected(call):
     with pytest.raises(ValueError, match=r"one-phase output of shape \(K, 4\)$"):

@@ -104,7 +104,7 @@ class TestPropagate:
         assert np.allclose(out.amplitudes[0], expected, atol=1e-14)
 
     def test_mps0_vacuum_scaling(self):
-        cfg = MziConfig.lossless(1.3)
+        cfg = MziConfig(phi=1.3)
         out = propagate(make_state(StateKind.MPS0, 1.0), vacuum(), cfg)
         amps = out.amplitudes
         for m in range(4):
@@ -112,7 +112,7 @@ class TestPropagate:
 
     def test_mps_coherent_shift(self):
         alpha, zeta = 1.1, 0.8
-        cfg = MziConfig.lossless(0.7)
+        cfg = MziConfig(phi=0.7)
         out_pair = propagate(make_state(StateKind.MPS1, alpha), make_state(StateKind.CS, zeta), cfg)
         out_vac = propagate(make_state(StateKind.MPS1, alpha), vacuum(), cfg)
         sigma = 1j * cmath.exp(0.5j * cfg.phi) * math.cos(cfg.phi / 2)
@@ -122,14 +122,14 @@ class TestPropagate:
     def test_term_count_and_weights(self):
         sa = make_state(StateKind.MPS2, 0.9)
         sb = make_state(StateKind.ECSS, 0.5)
-        out = propagate(sa, sb, MziConfig.lossless(0.4))
+        out = propagate(sa, sb, MziConfig(phi=0.4))
         assert len(out.weights) == 8
         assert out.weights[0] == pytest.approx(sa.weights[0] * sb.weights[0])
 
     def test_input_normalized_by_construction(self):
         # a term list of any scale enters as its normalized state
-        scaled = propagate(states.SuperposedState([2.0], [1.0]), vacuum(), MziConfig.lossless(0.1))
-        unit = propagate(make_state(StateKind.CS, 1.0), vacuum(), MziConfig.lossless(0.1))
+        scaled = propagate(states.SuperposedState([2.0], [1.0]), vacuum(), MziConfig(phi=0.1))
+        unit = propagate(make_state(StateKind.CS, 1.0), vacuum(), MziConfig(phi=0.1))
         assert scaled.weights.tobytes() == unit.weights.tobytes()
         assert scaled.amplitudes.tobytes() == unit.amplitudes.tobytes()
 
@@ -144,7 +144,7 @@ class TestBookkeeping:
     def test_energy_conserved_lossless(self):
         sa = make_state(StateKind.MPS3, math.sqrt(3.0))
         sb = make_state(StateKind.CS, 1.2)
-        out = propagate(sa, sb, MziConfig.lossless(1.8))
+        out = propagate(sa, sb, MziConfig(phi=1.8))
         total_in = states.mean_photon_number(sa) + states.mean_photon_number(sb)
         ports = mode_mean_photon(out, 0) + mode_mean_photon(out, 1)
         assert ports == pytest.approx(total_in, abs=1e-10)

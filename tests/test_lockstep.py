@@ -171,14 +171,14 @@ class TestExactAgainstReference:
         sb = vacuum() if zeta2 == 0.0 else make_state(StateKind.CS, math.sqrt(zeta2))
         curve = met.sample_curve(sa, sb, Scheme.parse(scheme), loss_r=loss_r)
         evaluate, seen = _counting(curve.evaluator)
-        counted = met.SignalCurve(phis=curve.phis, values=curve.values, scheme=curve.scheme, evaluator=evaluate)
+        counted = met.SignalCurve(phis=curve.phis, values=curve.values, evaluator=evaluate)
         assert met.fwhm(counted) == reference_fwhm(curve)
         assert len(seen) <= 52
 
     def test_fwhm_with_baseline_and_without_evaluator(self):
         curve = met.sample_curve(make_state(StateKind.MPS2, math.sqrt(2.0)), vacuum(), Scheme.PARITY)
         assert met.fwhm(curve, baseline=0.0) == reference_fwhm(curve, baseline=0.0)
-        sampled = met.SignalCurve(phis=curve.phis, values=curve.values, scheme=curve.scheme)
+        sampled = met.SignalCurve(phis=curve.phis, values=curve.values)
         assert met.fwhm(sampled) == reference_fwhm(sampled)
 
     def test_low_energy_peaks(self):
@@ -195,7 +195,7 @@ class TestExactAgainstReference:
         sb = make_state(StateKind.CS, math.sqrt(52.0))
         curve = met.sample_curve(make_state(kind, math.sqrt(51.0)), sb, Scheme.PARITY, phis=phis)
         evaluate, seen = _counting(curve.evaluator)
-        counted = met.SignalCurve(phis=curve.phis, values=curve.values, scheme=curve.scheme, evaluator=evaluate)
+        counted = met.SignalCurve(phis=curve.phis, values=curve.values, evaluator=evaluate)
         for window, threshold in [(MID_WINDOW, met.PEAK_NOISE_THRESHOLD)] + [(w, 1e-6) for w in EXTRA_WINDOWS]:
             for side in SIDES:
                 args = (window, side, 0.0, threshold)

@@ -57,15 +57,12 @@ class TestFwhm:
         scaled = met.SignalCurve(
             phis=base.phis,
             values=0.25 * base.values + 3.0,
-            scheme=base.scheme,
             evaluator=lambda phi: 0.25 * f(phi) + 3.0,
         )
         assert met.fwhm(scaled) == pytest.approx(met.fwhm(base), abs=1e-9)
 
     def test_monotone_curve_has_no_peak(self):
-        curve = met.SignalCurve(
-            phis=np.linspace(0, 1, 50), values=np.linspace(0, 1, 50), scheme=Scheme.Z
-        )
+        curve = met.SignalCurve(phis=np.linspace(0, 1, 50), values=np.linspace(0, 1, 50))
         with pytest.raises(met.NoPeak):
             met.fwhm(curve)
 
@@ -74,7 +71,7 @@ class TestFwhm:
         # crossing search moves its outer end past the samples until the evaluator changes sign
         phis = met.periodic_phase_grid()
         wider = lambda x: np.cos(0.9 * x)
-        curve = met.SignalCurve(phis=phis, values=np.cos(phis), scheme=Scheme.PARITY, evaluator=wider)
+        curve = met.SignalCurve(phis=phis, values=np.cos(phis), evaluator=wider)
         assert met.fwhm(curve) == pytest.approx(2 * math.pi / 1.8, abs=2 * met.REFINE_TOL)
 
     def test_half_level_below_the_samples(self):
@@ -86,7 +83,7 @@ class TestFwhm:
     def test_inverted_peak(self):
         phis = np.linspace(-1, 1, 401)
         values = 1.0 - 0.8 * np.exp(-((phis / 0.2) ** 2))
-        curve = met.SignalCurve(phis=phis, values=values, scheme=Scheme.Z)
+        curve = met.SignalCurve(phis=phis, values=values)
         sigma_width = 0.2 * 2 * math.sqrt(math.log(2))
         assert met.fwhm(curve) == pytest.approx(sigma_width, rel=1e-3)
 
@@ -136,7 +133,7 @@ class TestSignalCurve:
     )
     def test_rejects_malformed_samples(self, phis, values, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            met.SignalCurve(phis=phis, values=values, scheme=Scheme.PARITY)
+            met.SignalCurve(phis=phis, values=values)
 
 
 class TestPeakCount:
@@ -144,25 +141,25 @@ class TestPeakCount:
         return met.sample_curve(make_state(kind, math.sqrt(alpha2)), vacuum(), scheme)
 
     def test_coherent_single_fringe(self):
-        assert met.peak_count(self._curve(StateKind.CS), (-math.pi, math.pi)) == 1
+        assert len(met.peak_locations(self._curve(StateKind.CS), (-math.pi, math.pi))) == 1
 
     def test_cat_two_fringes(self):
-        assert met.peak_count(self._curve(StateKind.ECSS), (-math.pi, math.pi)) == 2
+        assert len(met.peak_locations(self._curve(StateKind.ECSS), (-math.pi, math.pi))) == 2
 
     @pytest.mark.parametrize("kind", [StateKind.ECSS, StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3])
     def test_folded_counting_sees_inverted_fringes(self, kind):
-        count = met.peak_count(self._curve(kind), (-math.pi, math.pi), side="folded", midline=0.0)
+        count = len(met.peak_locations(self._curve(kind), (-math.pi, math.pi), side="folded", midline=0.0))
         assert count == 2
 
     def test_folded_coherent_stays_single(self):
-        count = met.peak_count(self._curve(StateKind.CS), (-math.pi, math.pi), side="folded", midline=0.0)
+        count = len(met.peak_locations(self._curve(StateKind.CS), (-math.pi, math.pi), side="folded", midline=0.0))
         assert count == 1
 
     def test_window_translation_invariance(self):
         curve = self._curve(StateKind.ECSS)
-        base = met.peak_count(curve, (-math.pi, math.pi))
-        assert met.peak_count(curve, (math.pi, 3 * math.pi)) == base
-        assert met.peak_count(curve, (-math.pi + 2 * math.pi, math.pi + 2 * math.pi)) == base
+        base = len(met.peak_locations(curve, (-math.pi, math.pi)))
+        assert len(met.peak_locations(curve, (math.pi, 3 * math.pi))) == base
+        assert len(met.peak_locations(curve, (-math.pi + 2 * math.pi, math.pi + 2 * math.pi))) == base
 
     def test_scans_match_per_sample_loops(self):
         # tie-heavy integer samples: the array scans must pick exactly the indices, the principal
@@ -202,7 +199,7 @@ class TestPeakCount:
                     continue
                 span = 2 * math.pi if periodic else 3.0
                 phis = np.linspace(-math.pi, -math.pi + span, n, endpoint=not periodic)
-                curve = met.SignalCurve(phis=phis, values=values, scheme=Scheme.PARITY)
+                curve = met.SignalCurve(phis=phis, values=values)
                 got = met.peak_locations(curve, (-math.pi, math.pi), midline=0.0, threshold=0.5)
                 assert got == pytest.approx(sorted(phis[loop_peaks(values, periodic, 0.5)]), abs=1e-12)
 
@@ -214,20 +211,23 @@ class TestPeakCount:
 
     def test_coarse_sampling_rejected(self):
         phis = np.linspace(-math.pi, math.pi, 64)
-        curve = met.SignalCurve(phis=phis, values=np.cos(phis), scheme=Scheme.PARITY)
+        curve = met.SignalCurve(phis=phis, values=np.cos(phis))
         with pytest.raises(ValueError):
-            met.peak_count(curve, (-math.pi, math.pi))
+            met.peak_locations(curve, (-math.pi, math.pi))
 
     @pytest.mark.parametrize(
         "window,side,message",
         [
             ((-1, 1), "middle", "side must be 'upper', 'lower' or 'folded'"),
             ((1.0, 1.0), "upper", "window must have positive width"),
+            ((-math.inf, 1.0), "upper", "window bounds must be finite"),
+            ((0.0, math.inf), "folded", "window bounds must be finite"),
+            ((math.nan, 1.0), "lower", "window bounds must be finite"),
         ],
     )
     def test_side_validation(self, window, side, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            met.peak_count(self._curve(StateKind.CS), window, side=side)
+            met.peak_locations(self._curve(StateKind.CS), window, side=side)
 
     def test_locations_are_refined(self):
         locs = met.peak_locations(self._curve(StateKind.ECSS), (-math.pi, math.pi))
@@ -248,13 +248,13 @@ class TestSensitivity:
 
     def test_coherent_saturates_floor_near_zero(self):
         point = met.phase_sensitivity(
-            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig.lossless(0.02), Scheme.PARITY
+            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
         )
         assert point.ratio == pytest.approx(1.0, abs=0.01)
 
     def test_stationary_point_marker(self):
         point = met.phase_sensitivity(
-            make_state(StateKind.ECSS, 1.0), vacuum(), MziConfig.lossless(0.0), Scheme.PARITY
+            make_state(StateKind.ECSS, 1.0), vacuum(), MziConfig(phi=0.0), Scheme.PARITY
         )
         assert math.isinf(point.delta_phi)
         assert math.isinf(point.ratio)
@@ -297,7 +297,7 @@ class TestLossSweep:
     def test_zero_loss_matches_lossless(self):
         sa = make_state(StateKind.ECSS, math.sqrt(2.0))
         rows = met.loss_sweep(sa, vacuum(), 0.4, Scheme.PARITY, [0.0, 0.3])
-        lossless = met.phase_sensitivity(sa, vacuum(), MziConfig.lossless(0.4), Scheme.PARITY)
+        lossless = met.phase_sensitivity(sa, vacuum(), MziConfig(phi=0.4), Scheme.PARITY)
         assert rows[0][1] == pytest.approx(lossless.ratio, abs=1e-12)
 
     def test_coherent_ratio_degrades_monotonically(self):
