@@ -3,7 +3,9 @@
 Bookkeeping sums over the four-mode output, the even/odd split of the parity
 signal, the complex splitter blocks and their dense triangular-basis form,
 the per-arm Kraus loss channel on an explicit density matrix whose port-a
-counts the Fock oracle's binomial thinning must reproduce, the cell-by-cell
+counts the Fock oracle's binomial thinning must reproduce, the square-layout
+Fock pipeline (psi[n_a, n_b], one gathered matmul per shell, explicit phases)
+whose results the shell-layout oracle must reproduce, the cell-by-cell
 row writer that the CLI's column writer must reproduce, the
 pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
@@ -18,6 +20,7 @@ a four-component state, which cancels nothing where the pair sums cancel most.
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +86,7 @@ def triangle_occupations(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 def bs_block(total: int) -> np.ndarray:
     """Unitary of the 50:50 splitter on the N-photon subspace, <j, N-j|U|n, N-n> at [j, n]."""
-    phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(total + 1) % 4]
+    phase = fold_phases(total)
     return phase[:, None] * fo._kravchuk_block(total) * phase[None, :]
 
 
@@ -119,13 +122,86 @@ def reference_simulate_density(state_a, state_b, config, cutoff: int):
 
     Loss acts on both arms between the phase and the second splitter, which is applied as U rho U^dag.
     """
-    vec = fo.encode(state_a, state_b, cutoff)
-    psi = fo._apply_phase(fo._apply_beam_splitter(vec.amplitudes), config.phi)
+    psi, tail = reference_square_encode(state_a, state_b, cutoff)
+    psi = reference_phase(reference_beam_splitter(psi), config.phi)
     rho = reference_loss_channel(np.einsum("ab,cd->abcd", psi, np.conj(psi)), config.loss_r)
     n_a, n_b = triangle_occupations(cutoff)
     u = beam_splitter_unitary(cutoff)
     final = u @ rho[n_a[:, None], n_b[:, None], n_a[None, :], n_b[None, :]] @ u.conj().T
-    return fo._result(np.bincount(n_a, weights=np.diagonal(final).real, minlength=cutoff + 1), vec.tail_bound)
+    return fo._result(np.bincount(n_a, weights=np.diagonal(final).real, minlength=cutoff + 1), tail)
+
+
+def reference_coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """One alpha's number-basis coefficients e^{-|alpha|^2/2} alpha^l / sqrt(l!), with alpha = 0 as its own case."""
+    alpha = complex(alpha)
+    out = np.zeros(cutoff + 1, dtype=complex)
+    if alpha == 0:
+        out[0] = 1.0
+        return out
+    ls = np.arange(cutoff + 1)
+    logmag = -0.5 * abs(alpha) ** 2 + ls * math.log(abs(alpha)) - 0.5 * fo._lgamma_table(cutoff)
+    return np.exp(logmag + 1j * ls * np.angle(alpha))
+
+
+def reference_square_encode(state_a, state_b, cutoff: int):
+    """psi[n_a, n_b] of the input product on the triangle n_a + n_b <= cutoff, and its norm deficit."""
+
+    def expansion(state):
+        return sum(w * reference_coherent_amplitudes(a, cutoff) for w, a in zip(state.weights.tolist(), state.amplitudes.tolist()))
+
+    psi = np.outer(expansion(state_a), expansion(state_b))
+    ns = np.arange(cutoff + 1)
+    psi[ns[:, None] + ns[None, :] > cutoff] = 0.0
+    return psi, max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
+
+
+reference_kravchuk_block = lru_cache(maxsize=None)(fo._kravchuk_block)
+
+
+@lru_cache(maxsize=None)
+def _reference_shell_order(cutoff: int):
+    """Flat (n_a, n_b) index of the triangle in shell-major order, and i^(n_a) at each entry."""
+    totals, n_a = np.tril_indices(cutoff + 1)  # row-major: shell by shell, n_a rising within each
+    return n_a * (cutoff + 1) + (totals - n_a), fold_phases(cutoff)[n_a]
+
+
+def reference_beam_splitter(psi: np.ndarray) -> np.ndarray:
+    """The splitter on psi[n_a, n_b]: gather the triangle shell by shell, one real block matmul per shell, scatter back."""
+    cutoff = len(psi) - 1
+    index, phase = _reference_shell_order(cutoff)
+    shells = psi.reshape(-1).take(index) * phase
+    pairs = shells.view(float).reshape(len(index), 2)  # (re, im) of each entry, shells contiguous
+    for total in range(cutoff + 1):
+        part = slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
+        pairs[part] = reference_kravchuk_block(total) @ pairs[part]
+    out = np.zeros(psi.size, dtype=complex)
+    out[index] = shells * phase
+    return out.reshape(psi.shape)
+
+
+def reference_phase(psi: np.ndarray, phi: float) -> np.ndarray:
+    return psi * np.exp(1j * phi * np.arange(len(psi)))[:, None]
+
+
+def reference_simulate(state_a, state_b, config, cutoff: int | None = None):
+    """The oracle's pipeline on the square layout psi[n_a, n_b], with every splitter and phase factor applied."""
+    cutoff = fo.default_cutoff(state_a, state_b) if cutoff is None else cutoff
+    psi, tail = reference_square_encode(state_a, state_b, cutoff)
+    psi = reference_beam_splitter(reference_phase(reference_beam_splitter(psi), config.phi))
+    return fo._result(fo._thin(np.sum(np.abs(psi) ** 2, axis=1), config.loss_t, config.loss_r), tail)
+
+
+def shell_layout(psi: np.ndarray) -> np.ndarray:
+    """psi[n_a, n_b] on the triangle as the oracle's shells S[N, n_a] = psi[n_a, N - n_a], zero above the diagonal."""
+    totals, n_a = np.tril_indices(len(psi))
+    shells = np.zeros(psi.shape, dtype=complex)
+    shells[totals, n_a] = psi[n_a, totals - n_a]
+    return shells
+
+
+def fold_phases(cutoff: int) -> np.ndarray:
+    """i^(n_a) for n_a = 0..cutoff, the diagonal phase that the oracle folds into its shells."""
+    return np.array([1.0, 1j, -1.0, -1j])[np.arange(cutoff + 1) % 4]
 
 
 def reference_fmt(x) -> str:
@@ -206,9 +282,9 @@ def reference_encode(state_a, state_b, cutoff: int) -> np.ndarray:
     """Triangle-masked psi accumulated as one outer product per pair of components."""
     psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for wa, a in zip(state_a.weights.tolist(), state_a.amplitudes.tolist()):
-        ca = fo.coherent_amplitudes(a, cutoff)
+        ca = reference_coherent_amplitudes(a, cutoff)
         for wb, b in zip(state_b.weights.tolist(), state_b.amplitudes.tolist()):
-            psi += (wa * wb) * np.outer(ca, fo.coherent_amplitudes(b, cutoff))
+            psi += (wa * wb) * np.outer(ca, reference_coherent_amplitudes(b, cutoff))
     ns = np.arange(cutoff + 1)
     psi[ns[:, None] + ns[None, :] > cutoff] = 0.0
     return psi

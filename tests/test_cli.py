@@ -171,6 +171,25 @@ class TestSensitivity:
         assert all(rows[i][1] == rows[i][3] == "inf" for i in zero_rows)
         assert all(float(row[1]) > 0.0 and float(row[3]) > 0.0 for row in rows)
 
+    @pytest.mark.parametrize("steps", [17, 201])
+    def test_slope_rounding_residue_is_no_numerical_limit(self, steps, tmp_path):
+        # mps3 at alpha2 = 0.1 against a zeta2 = 25 coherent state: its slope sums keep an imaginary residue of
+        # about 1.05e-12, the rounding of their K^2 terms, which once exited 4
+        from qlidar import closedform as cf
+        from qlidar.detection import Scheme
+        from qlidar.interferometer import MziConfig
+        from qlidar.states import StateKind, make_state
+
+        out = tmp_path / "sens.csv"
+        args = ["--state-a", "mps3", "--alpha2", "0.1", "--state-b", "cs", "--zeta2", "25", "--loss-r", "0.0625"]
+        assert run_cli(["sensitivity"] + args + ["--phi-steps", str(steps), "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == steps
+        phis = np.linspace(-math.pi, math.pi, steps)
+        state_a, state_b = make_state(StateKind.MPS3, math.sqrt(0.1)), make_state(StateKind.CS, 5.0)
+        slopes = detection.expectation_derivative_curve(state_a, state_b, Scheme.PARITY, phis, 0.0625)
+        contexts = [cf.closed_form_context(StateKind.MPS3, 0.1, MziConfig(phi=phi, loss_r=0.0625), 25.0) for phi in phis]
+        assert np.abs(slopes - [cf.parity_derivative_coherent(ctx) for ctx in contexts]).max() < 1e-10
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_columns_match_rows_of_points(self, fmt, tmp_path):
         from helpers import reference_fmt, reference_rows_text

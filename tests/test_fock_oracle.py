@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,14 +8,19 @@ from helpers import (
     basis_index,
     beam_splitter_unitary,
     bs_block,
+    fold_phases,
+    reference_beam_splitter,
     reference_bs_block,
     reference_encode,
     reference_loss_channel,
+    reference_phase,
+    reference_simulate,
     reference_simulate_density,
+    reference_square_encode,
+    shell_layout,
     triangle_dimension,
-    triangle_occupations,
 )
-from qlidar import fock_oracle as fo
+from qlidar import cli, fock_oracle as fo
 from qlidar.interferometer import MziConfig, mode_transform
 from qlidar.states import StateKind, make_state, vacuum
 
@@ -28,7 +34,7 @@ class TestEncode:
 
     def test_coherent_is_poisson(self):
         vec = fo.encode(make_state(StateKind.CS, 1.0), vacuum(), 25)
-        pn = np.abs(vec.amplitudes[:, 0]) ** 2
+        pn = np.abs(np.diagonal(vec.amplitudes)) ** 2  # |n, 0> is entry n of shell n
         ns = np.arange(26)
         expect = np.exp(-1.0) / np.array([float(math.factorial(int(n))) for n in ns])
         assert np.allclose(pn, expect, atol=1e-14)
@@ -36,7 +42,7 @@ class TestEncode:
     def test_mps2_photon_content(self):
         # four-component state with j=2 holds only 4n+2 photons
         vec = fo.encode(make_state(StateKind.MPS2, math.sqrt(2.0)), vacuum(), 30)
-        pn = np.abs(vec.amplitudes[:, 0]) ** 2
+        pn = np.abs(np.diagonal(vec.amplitudes)) ** 2
         for n in range(31):
             if n % 4 != 2:
                 assert pn[n] < 1e-12, n
@@ -44,6 +50,18 @@ class TestEncode:
     def test_cutoff_too_small(self):
         with pytest.raises(fo.CutoffTooSmall):
             fo.encode(make_state(StateKind.CS, math.sqrt(8.0)), vacuum(), 6)
+
+    def test_vacuum_terms_have_no_nan(self):
+        # a zero amplitude takes the same array path as any other: log 0 = -inf must give 0, not nan, for l >= 1
+        assert fo.coherent_amplitudes([0.0, 1.0], 3)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert fo.coherent_amplitudes(0.0, 0).tolist() == [1.0]
+
+    def test_amplitudes_broadcast_over_alpha(self):
+        alphas = np.array([[0.5 + 0.1j, -1.2], [0.0, 2j]])
+        table = fo.coherent_amplitudes(alphas, 7)
+        assert table.shape == (2, 2, 8)
+        for idx in np.ndindex(alphas.shape):
+            assert np.array_equal(table[idx], fo.coherent_amplitudes(alphas[idx], 7))
 
 
 class TestBeamSplitter:
@@ -75,17 +93,16 @@ class TestBeamSplitter:
                             assert abs(col[basis_index(ma, mb, cutoff)]) < 1e-15
 
     def test_matches_amplitude_map_on_coherent_input(self):
-        # convention lock against the interferometer transfer matrix
+        # convention lock against the interferometer transfer matrix: encode's i^n, R, then the dropped i^j
         alpha, zeta = 1.1 + 0.2j, 0.6 - 0.4j
         sa, sb = make_state(StateKind.CS, alpha), make_state(StateKind.CS, zeta)
         cutoff = fo.default_cutoff(sa, sb)
-        psi = fo._apply_beam_splitter(fo.encode(sa, sb, cutoff).amplitudes)
+        shells = fo.encode(sa, sb, cutoff).amplitudes
+        fo._apply_splitter(shells)
         out_a = (alpha + 1j * zeta) / math.sqrt(2)
         out_b = (1j * alpha + zeta) / math.sqrt(2)
         ref = np.outer(fo.coherent_amplitudes(out_a, cutoff), fo.coherent_amplitudes(out_b, cutoff))
-        ns = np.arange(cutoff + 1)
-        ref[ns[:, None] + ns[None, :] > cutoff] = 0.0
-        assert np.abs(psi - ref).max() < 1e-10
+        assert np.abs(shells * fold_phases(cutoff) - shell_layout(ref)).max() < 1e-10
 
     def test_full_pipeline_matches_transfer_matrix(self):
         sa, sb = make_state(StateKind.CS, 1.2), make_state(StateKind.CS, 0.7)
@@ -104,8 +121,8 @@ class TestLossChannel:
     """The Kraus reference channel of tests/helpers.py, which cross-checks binomial thinning."""
 
     def _coherent_density(self, alpha, cutoff):
-        vec = fo.encode(make_state(StateKind.CS, alpha), vacuum(), cutoff)
-        return np.einsum("ab,cd->abcd", vec.amplitudes, np.conj(vec.amplitudes))
+        psi = reference_encode(make_state(StateKind.CS, alpha), vacuum(), cutoff)
+        return np.einsum("ab,cd->abcd", psi, np.conj(psi))
 
     def test_zero_loss_identity(self):
         rho = self._coherent_density(1.0, 16)
@@ -176,9 +193,8 @@ class TestSimulate:
         sa = make_state(StateKind.MPS1, 1.0)
         cfg = MziConfig(phi=0.7, loss_r=0.5)
         cutoff = 14
-        vec = fo.encode(sa, vacuum(), cutoff)
-        psi = fo._apply_beam_splitter(vec.amplitudes)
-        psi = fo._apply_phase(psi, cfg.phi)
+        psi, _ = reference_square_encode(sa, vacuum(), cutoff)
+        psi = reference_phase(reference_beam_splitter(psi), cfg.phi)
         rho = reference_loss_channel(np.einsum("ab,cd->abcd", psi, np.conj(psi)), cfg.loss_r)
         d = cutoff + 1
         flat = rho.reshape(d * d, d * d)
@@ -195,9 +211,15 @@ class TestArrayFormsMatchLoops:
     def test_block_matches_entrywise_reference(self, total):
         assert np.abs(bs_block(total) - reference_bs_block(total)).max() <= 1e-15
 
-    def test_cached_block_is_real(self):
-        assert fo._kravchuk_block(9).dtype == np.float64
-        assert fo._kravchuk_block(9) is fo._kravchuk_block(9)
+    def test_block_stack_is_real_cached_and_zero_padded(self):
+        stack = fo._block_stack(2)
+        assert stack.dtype == np.float64 and stack is fo._block_stack(2)
+        width = 3 * fo.GROUP
+        assert stack.shape == (fo.GROUP, width, width)
+        for k, total in enumerate(range(2 * fo.GROUP, width)):
+            padded = np.zeros((width, width))
+            padded[: total + 1, : total + 1] = fo._kravchuk_block(total)
+            assert np.array_equal(stack[k], padded)
         assert np.abs(bs_block(9).real).max() > 0 and np.abs(bs_block(9).imag).max() > 0
 
     def test_lgamma_table_is_shared_and_read_only(self):
@@ -205,26 +227,66 @@ class TestArrayFormsMatchLoops:
         assert table is fo._lgamma_table(9) and not table.flags.writeable
         assert table.tolist() == [math.lgamma(n + 1) for n in range(10)]
 
-    @pytest.mark.parametrize("cutoff", [0, 1, 7, 30])
-    def test_splitter_equals_dense_unitary(self, cutoff):
+    @pytest.mark.parametrize("cutoff", [0, 1, fo.GROUP - 1, fo.GROUP, fo.GROUP + 1, 30, 101])
+    def test_splitter_equals_unitary_blocks(self, cutoff):
+        # cutoffs on both sides of a group edge; the complex blocks are the diagonal of beam_splitter_unitary,
+        # whose dense form at cutoff 101 would take 441 MB
         rng = np.random.default_rng(cutoff)
         shape = (cutoff + 1, cutoff + 1)
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out = fo._apply_beam_splitter(psi)
-        n_a, n_b = triangle_occupations(cutoff)
-        expect = beam_splitter_unitary(cutoff) @ psi[n_a, n_b]
-        assert np.abs(out[n_a, n_b] - expect).max() <= 1e-13 * np.abs(psi).max()
-        outside = np.ones(shape, dtype=bool)
-        outside[n_a, n_b] = False
-        assert not np.any(out[outside])
+        shells = np.tril(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        out = shells * fold_phases(cutoff)
+        fo._apply_splitter(out)
+        out *= fold_phases(cutoff)
+        for total in range(cutoff + 1):
+            expect = bs_block(total) @ shells[total, : total + 1]
+            assert np.abs(out[total, : total + 1] - expect).max() <= 1e-13 * np.abs(shells).max()
+        assert not np.any(np.triu(out, 1))
 
     @pytest.mark.parametrize("kind_a", list(StateKind))
     @pytest.mark.parametrize("kind_b", [StateKind.CS, StateKind.MPS2])
     def test_encode_matches_pairwise_reference(self, kind_a, kind_b):
         sa, sb = make_state(kind_a, 1.3 + 0.4j), make_state(kind_b, 0.7 - 0.2j)
         cutoff = fo.default_cutoff(sa, sb)
-        assert np.abs(fo.encode(sa, sb, cutoff).amplitudes - reference_encode(sa, sb, cutoff)).max() <= 1e-15
+        expect = shell_layout(reference_encode(sa, sb, cutoff)) * fold_phases(cutoff)
+        assert np.abs(fo.encode(sa, sb, cutoff).amplitudes - expect).max() <= 1e-15
+
+    @pytest.mark.parametrize("cutoff", [0, 1, fo.GROUP - 1, fo.GROUP, fo.GROUP + 1, 30, 101])
+    def test_encode_matches_square_layout(self, cutoff):
+        # a total mean of 1e-11^(1/(cutoff+1)) photons leaves a Poisson tail below the limit at every cutoff
+        amp = math.sqrt(0.5 * 1e-11 ** (1.0 / (cutoff + 1)))
+        sa, sb = make_state(StateKind.CS, amp * cmath.exp(0.3j)), make_state(StateKind.CS, amp * cmath.exp(-1.1j))
+        vec = fo.encode(sa, sb, cutoff)
+        psi, tail = reference_square_encode(sa, sb, cutoff)
+        assert np.abs(vec.amplitudes - shell_layout(psi) * fold_phases(cutoff)).max() <= 1e-15
+        assert abs(vec.tail_bound - tail) <= 1e-14
 
     def test_thin_without_loss_returns_its_input(self):
         probs = np.array([0.5, 0.3, 0.2])
         assert fo._thin(probs, 1.0, 0.0) is probs
+
+
+class TestSquareLayoutReference:
+    """The shell-layout oracle against the square-layout pipeline it replaced, on the regression grids."""
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_oracle_grid_matches(self, quick):
+        for name, a2, z2, phi, r in cli.oracle_grid(quick):
+            sa = cli._parse_state(name, energy=a2)
+            sb = vacuum() if z2 == 0.0 else cli._parse_state("cs", energy=z2)
+            cfg = MziConfig(phi=phi, loss_r=r)
+            got, ref = fo.simulate(sa, sb, cfg), reference_simulate(sa, sb, cfg)
+            point = (name, a2, z2, phi, r)
+            assert len(got.probs) == len(ref.probs), point
+            assert np.abs(got.probs - ref.probs).max() <= 1e-14, point
+            assert abs(got.parity - ref.parity) <= 1e-14, point
+            assert abs(got.zero - ref.zero) <= 1e-14, point
+            assert abs(got.tail_bound - ref.tail_bound) <= 1e-14, point
+
+    @pytest.mark.parametrize("cutoff", [0, 1, fo.GROUP - 1, fo.GROUP, fo.GROUP + 1, 30])
+    def test_explicit_cutoffs_match(self, cutoff):
+        amp = math.sqrt(0.5 * 1e-11 ** (1.0 / (cutoff + 1)))  # as in test_encode_matches_square_layout
+        sa, sb = make_state(StateKind.ECSS, amp * cmath.exp(0.4j)), make_state(StateKind.CS, amp)
+        cfg = MziConfig(phi=0.9, loss_r=0.3)
+        got, ref = fo.simulate(sa, sb, cfg, cutoff=cutoff), reference_simulate(sa, sb, cfg, cutoff=cutoff)
+        assert np.abs(got.probs - ref.probs).max() <= 1e-14
+        assert abs(got.tail_bound - ref.tail_bound) <= 1e-14

@@ -69,6 +69,22 @@ def test_port_distribution_matches_oracle(kind, alpha2, zeta2, phi, loss_r):
 
 
 @PROPERTY_SETTINGS
+@given(kinds, st.floats(0.5, 8.0), st.floats(0.0, 25.0), phis, st.floats(0.0, 0.9, exclude_max=True))
+def test_oracle_conserves_probability_and_meets_engine(kind, alpha2, zeta2, phi, loss_r):
+    # the oracle grid's energy range, drawn between its points
+    sa, sb = _inputs(kind, alpha2, zeta2)
+    cfg = MziConfig(phi=phi, loss_r=loss_r)
+    res = fock_oracle.simulate(sa, sb, cfg)
+    assert abs(float(np.sum(res.probs)) + res.tail_bound - 1.0) <= 1e-12
+    assert -1.0 <= res.parity <= 1.0
+    assert res.zero == res.probs[0]
+    out = propagate(sa, sb, cfg)
+    assert abs(detection.parity_expectation(out) - res.parity) < 1e-8
+    assert abs(detection.z_expectation(out) - res.zero) < 1e-8
+    assert np.abs(detection.port_distribution(out, cutoff=len(res.probs) - 1).probs - res.probs).max() < 1e-8
+
+
+@PROPERTY_SETTINGS
 @given(kinds, alpha2s, zeta2s, phis, losses, st.integers(0, 30))
 def test_tail_bound_covers_dropped_probability(kind, alpha2, zeta2, phi, loss_r, cutoff):
     sa, sb = _inputs(kind, alpha2, zeta2)
