@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -36,6 +37,9 @@ EXIT_NUMERICAL = 4
 
 ORACLE_TOLERANCE = 1e-8
 MAX_ROWS = wigner.MAX_RESOLUTION**2  # grid steps of any sweep: no more rows than the largest wigner grid
+# CSV rows formatted and written per block: sweeps peak RSS read 44.2 MB with 1024, 44.5 MB with 4096 (one block
+# for a 4096-phase signal) and 46.6 MB with 16384, against 48.9 MB for the whole text at once
+ROW_CHUNK = 4096
 
 SIX_STATES = tuple(kind.value for kind in StateKind)
 
@@ -64,19 +68,33 @@ def _json_cells(column) -> list:
     return [x if isinstance(x, str) or math.isfinite(x) else _fmt(x) for x in cells]
 
 
-def _write_rows(path: str | None, header: list[str], columns: list, fmt: str) -> None:
-    """Write equal-length columns (float64 arrays, or sequences of str and float) as CSV or JSON rows."""
+def _emit(fh, header: list[str], columns: list, fmt: str) -> None:
     if fmt == "json":
         rows = list(zip(*map(_json_cells, columns)))
-        text = json.dumps({"columns": header, "rows": rows}, indent=2, allow_nan=False) + "\n"
-    else:
-        text = "\n".join([",".join(header)] + list(map(",".join, zip(*map(_csv_cells, columns))))) + "\n"
+        fh.write(json.dumps({"columns": header, "rows": rows}, indent=2, allow_nan=False) + "\n")
+        return
+    fh.write(",".join(header) + "\n")
+    # one block of rows at a time, so memory holds one block's strings whatever the row count
+    for start in range(0, min(map(len, columns), default=0), ROW_CHUNK):
+        cells = [_csv_cells(column[start : start + ROW_CHUNK]) for column in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_rows(path: str | None, header: list[str], columns: list, fmt: str) -> None:
+    """Write equal-length columns (float64 arrays, or sequences of str and float) as CSV or JSON rows."""
     if path is None:
-        sys.stdout.write(text)
+        try:
+            _emit(sys.stdout, header, columns, fmt)
+            sys.stdout.flush()  # a reader that went away shows here, not in the flush at exit
+        except BrokenPipeError:
+            # the recipe of the signal module's docs: later writes and the flush at exit go to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            _emit(fh, header, columns, fmt)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 

@@ -155,12 +155,14 @@ def _thin(probs: np.ndarray, loss_t: float, loss_r: float) -> np.ndarray:
     if loss_r == 0.0:
         return probs  # the kernel is exactly the identity
     ns = np.arange(len(probs))
-    dropped = ns[None, :] - ns[:, None]  # m - n, row n, column m
-    kept = np.maximum(dropped, 0)
-    lg = _lgamma_table(len(probs) - 1)
-    binom = np.exp(lg[ns][None, :] - lg[ns][:, None] - lg[kept])
-    kernel = np.where(dropped >= 0, binom * (loss_t**2) ** ns[:, None] * (loss_r**2) ** kept, 0.0)
-    return kernel @ probs
+    ms = ns + ns[:, None]  # m, row m - n, column n
+    # C(m, n) t^(2n) r^(2(m-n)) is t^(2n) times the running product of r^2 m/(m-n) down column n; every
+    # product is a binomial probability, so none overflows
+    kernel = ms * (loss_r**2 / np.maximum(ns, 1))[:, None]
+    kernel[0] = (loss_t**2) ** ns
+    np.cumprod(kernel, axis=0, out=kernel)
+    # P(m) read at every m, zero beyond the cutoff
+    return np.einsum("dn,dn->n", kernel, np.concatenate([probs, np.zeros(len(probs) - 1)])[ms])
 
 
 def _result(probs: np.ndarray, tail_bound: float) -> OracleResult:

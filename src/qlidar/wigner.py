@@ -30,7 +30,7 @@ from .states import CoherentOperator, SuperposedState, _overlap_exponent, _real_
 WIGNER_BOUND = 2.0 / math.pi
 BOUND_TOL = 1e-9
 NEGLIGIBLE_COEFF = 1e-9  # pairs at or below this |C_ij| need no fringe sampling
-MAX_RESOLUTION = 1001  # points per axis: 1e6 grid values, about 60 MB as CLI rows
+MAX_RESOLUTION = 1001  # points per axis: 1e6 grid values, a 62 MB CSV that the CLI writes one row block at a time
 
 
 @dataclass(frozen=True)

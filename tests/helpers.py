@@ -4,8 +4,9 @@ Bookkeeping sums over the four-mode output, the even/odd split of the parity
 signal, the complex splitter blocks and their dense triangular-basis form,
 the per-arm Kraus loss channel on an explicit density matrix whose port-a
 counts the Fock oracle's binomial thinning must reproduce, the square-layout
-Fock pipeline (psi[n_a, n_b], one gathered matmul per shell, explicit phases)
-whose results the shell-layout oracle must reproduce, the cell-by-cell
+Fock pipeline (psi[n_a, n_b], one gathered matmul per shell, explicit phases,
+a thinning kernel from log-factorials) whose results the shell-layout oracle
+must reproduce, the exact-binomial thinning kernel, the cell-by-cell
 row writer that the CLI's column writer must reproduce, the
 pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
@@ -183,12 +184,33 @@ def reference_phase(psi: np.ndarray, phi: float) -> np.ndarray:
     return psi * np.exp(1j * phi * np.arange(len(psi)))[:, None]
 
 
+def reference_thin(probs: np.ndarray, loss_t: float, loss_r: float) -> np.ndarray:
+    """Binomial thinning with the kernel built from log-factorials: one exp and two float powers per entry."""
+    if loss_r == 0.0:
+        return probs
+    ns = np.arange(len(probs))
+    dropped = ns[None, :] - ns[:, None]  # m - n, row n, column m
+    kept = np.maximum(dropped, 0)
+    lg = fo._lgamma_table(len(probs) - 1)
+    binom = np.exp(lg[ns][None, :] - lg[ns][:, None] - lg[kept])
+    kernel = np.where(dropped >= 0, binom * (loss_t**2) ** ns[:, None] * (loss_r**2) ** kept, 0.0)
+    return kernel @ probs
+
+
+def reference_binomial_kernel(cutoff: int, loss_t: float, loss_r: float) -> np.ndarray:
+    """The thinning kernel C(m, n) t^(2n) r^(2(m-n)), row n, column m, each C(m, n) rounded once from an integer."""
+    ns = np.arange(cutoff + 1)
+    binom = np.array([[float(math.comb(m, n)) for m in ns] for n in ns])
+    kept = np.maximum(ns[None, :] - ns[:, None], 0)
+    return np.triu(binom * (loss_t**2) ** ns[:, None] * (loss_r**2) ** kept)
+
+
 def reference_simulate(state_a, state_b, config, cutoff: int | None = None):
     """The oracle's pipeline on the square layout psi[n_a, n_b], with every splitter and phase factor applied."""
     cutoff = fo.default_cutoff(state_a, state_b) if cutoff is None else cutoff
     psi, tail = reference_square_encode(state_a, state_b, cutoff)
     psi = reference_beam_splitter(reference_phase(reference_beam_splitter(psi), config.phi))
-    return fo._result(fo._thin(np.sum(np.abs(psi) ** 2, axis=1), config.loss_t, config.loss_r), tail)
+    return fo._result(reference_thin(np.sum(np.abs(psi) ** 2, axis=1), config.loss_t, config.loss_r), tail)
 
 
 def shell_layout(psi: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -497,6 +498,37 @@ class TestSpecHandling:
         code = run_cli(["signal", "--state-a", "cs", "--phi-steps", "3", flag, str(missing)])
         assert code == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("io error: cannot ")
+
+    def test_closed_stdout_pipe_exits_0_quietly(self):
+        # rows are written a block at a time, so a reader that leaves after one line breaks a later write
+        argv = [sys.executable, "-m", "qlidar.cli", "signal", "--phi-steps", "200000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.readline() == b"phi,value\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == cli.EXIT_OK
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_closed_out_pipe_is_an_io_error(self, tmp_path):
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)
+        argv = [sys.executable, "-m", "qlidar.cli", "signal", "--phi-steps", "200000", "--out", str(fifo)]
+        proc = subprocess.Popen(argv, stderr=subprocess.PIPE, env=_child_env())
+        lines = []
+
+        def read_first_line():
+            with open(fifo, "rb") as reader:  # returns once the child opens the pipe to write
+                lines.append(reader.readline())
+
+        # in a thread, so that a child that never opens the pipe fails the test instead of hanging it
+        reader = threading.Thread(target=read_first_line, daemon=True)
+        reader.start()
+        reader.join(timeout=120)
+        assert lines == [b"phi,value\n"]
+        assert proc.wait(timeout=120) == cli.EXIT_IO
+        assert proc.stderr.read().decode().startswith(f"io error: cannot write {fifo}: ")
+        proc.stderr.close()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

@@ -10,6 +10,7 @@ from helpers import (
     bs_block,
     fold_phases,
     reference_beam_splitter,
+    reference_binomial_kernel,
     reference_bs_block,
     reference_encode,
     reference_loss_channel,
@@ -17,6 +18,7 @@ from helpers import (
     reference_simulate,
     reference_simulate_density,
     reference_square_encode,
+    reference_thin,
     shell_layout,
     triangle_dimension,
 )
@@ -263,6 +265,20 @@ class TestArrayFormsMatchLoops:
     def test_thin_without_loss_returns_its_input(self):
         probs = np.array([0.5, 0.3, 0.2])
         assert fo._thin(probs, 1.0, 0.0) is probs
+
+    @pytest.mark.parametrize("loss_r", [1e-8, 0.2, 0.5, 0.99])
+    def test_thin_matches_exact_binomial_kernel(self, loss_r):
+        loss_t = math.sqrt(1.0 - loss_r**2)
+        kernel = reference_binomial_kernel(200, loss_t, loss_r)
+        for cutoff in range(201):
+            probs = np.full(cutoff + 1, 1.0 / (cutoff + 1))
+            got = fo._thin(probs, loss_t, loss_r)
+            assert np.abs(got - kernel[: cutoff + 1, : cutoff + 1] @ probs).max() <= 1e-15, cutoff
+            # the log-factorial kernel it replaced rounds each entry to about 5e-14 at cutoff 200
+            assert np.abs(got - reference_thin(probs, loss_t, loss_r)).max() <= 1e-14, cutoff
+        # each column of the kernel, one entry at a time
+        got = np.array([fo._thin(unit, loss_t, loss_r) for unit in np.eye(201)]).T
+        assert np.abs(got - kernel).max() <= 1e-15
 
 
 class TestSquareLayoutReference:

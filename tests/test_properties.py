@@ -5,7 +5,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,19 +197,31 @@ SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, _NAN_PAYL
 
 @st.composite
 def column_tables(draw, finite=False):
-    """Header and columns: float64 arrays drawn from a small pool (so values repeat), maybe after a str column."""
+    """Header and columns drawn from a small pool (so values repeat), maybe after a str column.
+
+    A value column is a float64 array, or a tuple of Python floats as oracle-check's zipped rows give.
+    """
     values = st.floats(width=64, allow_nan=not finite, allow_infinity=not finite)
     specials = [x for x in SPECIAL_FLOATS if math.isfinite(x)] if finite else SPECIAL_FLOATS
     pool = draw(st.lists(st.one_of(values, st.sampled_from(specials)), min_size=1, max_size=12))
     rows = draw(st.integers(0, 30))
     picks = st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows)
-    columns = [np.array([pool[i] for i in draw(picks)]) for _ in range(draw(st.integers(1, 4)))]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = [pool[i] for i in draw(picks)]
+        columns.append(tuple(cells) if draw(st.booleans()) else np.array(cells))
     if draw(st.booleans()):
-        columns.insert(0, draw(st.lists(st.sampled_from(["cs", "mps1", "ecss"]), min_size=rows, max_size=rows)))
+        columns.insert(0, tuple(draw(st.lists(st.sampled_from(["cs", "mps1", "ecss"]), min_size=rows, max_size=rows))))
     return [f"c{k}" for k in range(len(columns))], columns
 
 
-def _written(header, columns, fmt) -> str:
+def _written(header, columns, fmt, to_file=False) -> str:
+    if to_file:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.out")
+            cli._write_rows(path, header, columns, fmt)
+            with open(path) as fh:
+                return fh.read()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli._write_rows(None, header, columns, fmt)
@@ -217,11 +232,31 @@ def _cells(columns) -> list[list]:
     return [[c if isinstance(c, str) else float(c) for c in row] for row in zip(*columns)]
 
 
+# block sizes below the table lengths, so that rows, repeated values and specials cross block edges
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, cli.ROW_CHUNK])
 @settings(deadline=None, max_examples=200)
-@given(column_tables())
-def test_column_writer_matches_row_reference_csv(table):
+@given(table=column_tables())
+def test_column_writer_matches_row_reference_csv(chunk, to_file, table):
     header, columns = table
-    assert _written(header, columns, "csv") == reference_rows_text(header, _cells(columns), "csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "ROW_CHUNK", chunk)
+        assert _written(header, columns, "csv", to_file) == reference_rows_text(header, _cells(columns), "csv")
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    # a wigner-like table: two axes with few distinct values and one column of distinct values
+    rows = 200_000
+    columns = [np.repeat(np.linspace(-5, 5, 400), 500), np.tile(np.linspace(-5, 5, 500), 400)]
+    columns.append(np.random.default_rng(3).normal(size=rows))
+    tracemalloc.start()
+    try:
+        cli._write_rows(str(tmp_path / "rows.csv"), ["y1", "y2", "w"], columns, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "rows.csv").stat().st_size > 10e6
+    assert peak < 5e6, peak
 
 
 @settings(deadline=None, max_examples=200)
