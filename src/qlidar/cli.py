@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import groupby, product, repeat
 
 import numpy as np
 
@@ -206,46 +206,35 @@ def cmd_loss(spec) -> int:
     return EXIT_OK
 
 
+# (state, alpha2, zeta2, phi, loss_r) axes of the regression grid, full and --quick
+_ORACLE_AXES = (SIX_STATES, (0.5, 2.0, 8.0), (0.0, 2.0, 25.0), (0.3, 1.1, 2.7), (0.0, 0.2, 0.5))
+_QUICK_AXES = (("cs", "mps1"), (2.0,), (0.0, 2.0), (0.3, 2.7), (0.0, 0.5))
+
+
 def oracle_grid(quick: bool = False):
     """The regression grid: every state kind against vacuum and coherent inputs."""
-    if quick:
-        states_ = ("cs", "mps1")
-        alpha2s = (2.0,)
-        zeta2s = (0.0, 2.0)
-        phis = (0.3, 2.7)
-        losses = (0.0, 0.5)
-    else:
-        states_ = SIX_STATES
-        alpha2s = (0.5, 2.0, 8.0)
-        zeta2s = (0.0, 2.0, 25.0)
-        phis = (0.3, 1.1, 2.7)
-        losses = (0.0, 0.2, 0.5)
-    for name in states_:
-        for a2 in alpha2s:
-            for z2 in zeta2s:
-                for phi in phis:
-                    for r in losses:
-                        yield name, a2, z2, phi, r
+    return product(*(_QUICK_AXES if quick else _ORACLE_AXES))
 
 
 def cmd_oracle_check(spec) -> int:
     rows = []
     worst = (0.0, None)
-    for name, a2, z2, phi, r in oracle_grid(spec.quick):
+    for (name, a2, z2), points in groupby(oracle_grid(spec.quick), key=lambda point: point[:3]):
         state_a = _parse_state(name, energy=a2)
         state_b = vacuum() if z2 == 0.0 else _parse_state("cs", energy=z2)
-        config = MziConfig(phi=phi, loss_r=r)
-        out = propagate(state_a, state_b, config)
-        result = fock_oracle.simulate(state_a, state_b, config)
-        d_parity = abs(detection.parity_expectation(out) - result.parity)
-        d_zero = abs(detection.z_expectation(out) - result.zero)
-        n_check = len(result.probs) - 1
-        dist = detection.port_distribution(out, cutoff=n_check)
-        d_pn = float(np.max(np.abs(dist.probs - result.probs)))
-        rows.append([name, a2, z2, phi, r, d_parity, d_zero, d_pn])
-        local = max(d_parity, d_zero, d_pn)
-        if local > worst[0]:
-            worst = (local, (name, a2, z2, phi, r))
+        for *_, phi, r in points:
+            config = MziConfig(phi=phi, loss_r=r)
+            out = propagate(state_a, state_b, config)
+            result = fock_oracle.simulate(state_a, state_b, config)
+            d_parity = abs(detection.parity_expectation(out) - result.parity)
+            d_zero = abs(detection.z_expectation(out) - result.zero)
+            n_check = len(result.probs) - 1
+            dist = detection.port_distribution(out, cutoff=n_check)
+            d_pn = float(np.max(np.abs(dist.probs - result.probs)))
+            rows.append([name, a2, z2, phi, r, d_parity, d_zero, d_pn])
+            local = max(d_parity, d_zero, d_pn)
+            if local > worst[0]:
+                worst = (local, (name, a2, z2, phi, r))
     if spec.out:
         header = ["state", "alpha2", "zeta2", "phi", "loss_r", "d_parity", "d_zero", "d_pn"]
         _write_rows(spec.out, header, list(zip(*rows)), spec.format)

@@ -280,21 +280,18 @@ def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndar
     return np.linspace(start, start + TWO_PI, samples, endpoint=False)
 
 
-def _is_period(phis: np.ndarray) -> bool:
-    """Whether the 1-D phases are bit for bit the :func:`periodic_phase_grid` of their count and first phase."""
-    return len(phis) > 1 and phis.tobytes() == periodic_phase_grid(len(phis), phis[0]).tobytes()
-
-
 def _period_length(phis: np.ndarray) -> int:
-    """How many leading phases form one period: P for an open period (:func:`_is_period`), P - 1 for a closed one, else 0.
+    """How many leading phases of the 1-D phis form one period: P for an open one, P - 1 for a closed one, else 0.
 
-    A closed period, bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI, P)``,
-    is an open period of P - 1 phases followed by phis[0] + TWO_PI.
+    An open period of n phases is bit for bit ``periodic_phase_grid(n, phis[0])``;
+    a closed one, bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI, P)``, is an
+    open period of P - 1 phases followed by phis[0] + TWO_PI.
     """
-    if _is_period(phis):
-        return len(phis)
-    closed = len(phis) > 2 and phis[-1] == phis[0] + TWO_PI and _is_period(phis[:-1])
-    return len(phis) - 1 if closed else 0
+    for n in (len(phis), len(phis) - 1):
+        if n > 1 and (n == len(phis) or phis[-1] == phis[0] + TWO_PI):
+            if phis[:n].tobytes() == periodic_phase_grid(n, phis[0]).tobytes():
+                return n
+    return 0
 
 
 def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, loss_r: float, counts: np.ndarray) -> np.ndarray:
@@ -358,37 +355,22 @@ def _fourier_resample(samples: np.ndarray, n_phi: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n_phi, norm="forward")
 
 
-def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool, direct: bool = False):
-    """<Pi> or <Z> over the P phases, and its slopes if wanted (else None), both (P,).
-
-    Values alone over an open or closed period of n phases (:func:`_period_length`),
-    unless ``direct``, come from the kernel at m of the first n phases and
-    :func:`_fourier_resample` when :func:`_spectral_count` finds an m < n; the end
-    point of a closed period takes the first value, as the interpolant does.
-    Otherwise the kernel runs at every phase.
-    """
+def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
+    """The bare pair kernel: raw <Pi> or <Z> at each of the P phases, in CURVE_CHUNK blocks, and slopes if wanted (else None)."""
     w, amps_in = _input_pairs(state_a, state_b)
     phis = _check_phase(phis)
     if np.ndim(phis) != 1:
         raise ValueError("phases of a curve must be a 1-D array")
     loss_r = _check_loss(loss_r)
-    stride = 1
-    n_period = 0 if want_derivative or direct else _period_length(phis)
-    if n_period:
-        stride = n_period // _spectral_count(w, amps_in, scheme, loss_r, n_period)
-    grid = phis if stride == 1 else phis[:n_period:stride]
-    values = np.empty(grid.shape)
-    slopes = np.empty(grid.shape) if want_derivative else None
-    for lo in range(0, len(grid), CURVE_CHUNK):
+    values = np.empty(phis.shape)
+    slopes = np.empty(phis.shape) if want_derivative else None
+    for lo in range(0, len(phis), CURVE_CHUNK):
         part = slice(lo, lo + CURVE_CHUNK)
-        u, du = _phase_resolved_amplitudes(amps_in, grid[part], loss_r, want_derivative)
+        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r, want_derivative)
         values[part], chunk_slopes = _curve_values(w, u, du, scheme)
         if want_derivative:
             slopes[part] = chunk_slopes
-    if stride == 1:
-        return values, slopes
-    values = _fourier_resample(values, n_period)
-    return (values if n_period == len(phis) else np.append(values, values[0])), slopes
+    return values, slopes
 
 
 def expectation_curve(
@@ -402,24 +384,43 @@ def expectation_curve(
 ) -> np.ndarray:
     """Vectorized <Pi> or <Z> over a 1-D grid of phase values.
 
-    On one full period of n phases, open (bit for bit ``periodic_phase_grid(n,
-    phis[0])``) or closed (bit for bit ``np.linspace(phis[0], phis[0] + TWO_PI,
-    n + 1)``, as the CLI's default grid is), the kernel runs at every (n/m)-th
-    of the first n phases and an FFT resamples to all n; the end point of a
-    closed period takes the first value, as the periodic interpolant does.  m
-    is the smallest divisor of n below n whose a-priori interpolation bound
-    2 sum_ij |w_i w_j| sum_{|n| >= ceil(m/2)} |c_n^ij| (:func:`_interpolation_bounds`)
-    is at most 2^-52 sum_ij |w_i w_j|, one rounding step of the direct sum, so
-    each value lies within that bound of the exact curve, plus rounding.  Other
-    grids, and a period that no such m fits, are evaluated at every phase.
+    On one full period of n phases, open or closed (:func:`_period_length`; the
+    CLI's default grid is closed), the kernel runs at every (n/m)-th of the first
+    n phases and an FFT resamples to all n; the end point of a closed period
+    takes the first value, as the periodic interpolant does.  m is the smallest
+    divisor of n below n whose a-priori interpolation bound
+    (:func:`_interpolation_bounds`) is at most 2^-52 sum_ij |w_i w_j|, one
+    rounding step of the direct sum.  Other grids, and a period that no such m
+    fits, are evaluated at every phase.
 
-    ``direct=True`` evaluates every phase of a period too, keeping the last bits
-    of the direct kernel.  It exists only until the stored reference widths of
-    the bench carry noise bands (see the roadmap); then
-    :func:`~qlidar.metrology.sample_curve` stops passing it and the keyword is
-    deleted.
+    Then the scalar path's value rules apply.  A Z value below
+    NEGATIVE_PROBABILITY_TOL takes the scalar evaluator's value at its phase,
+    which raises NegativeProbability below -beta too and clamps otherwise;
+    parity is clipped to [-1, 1] and Z to [0, 1].
+
+    ``direct=True`` returns the raw kernel (:func:`_sweep`) at every phase.  It
+    exists only for :func:`~qlidar.metrology.sample_curve`, whose widths the
+    bench pins to the raw kernel's last bits, until they carry noise bands (see
+    the roadmap); then the keyword is deleted.
     """
-    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False, direct=direct)[0]
+    if direct:
+        return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)[0]
+    phis = _check_phase(phis)
+    n_period = _period_length(phis) if np.ndim(phis) == 1 else 0
+    stride = 1
+    if n_period:
+        stride = n_period // _spectral_count(*_input_pairs(state_a, state_b), scheme, _check_loss(loss_r), n_period)
+    grid = phis[:n_period:stride] if stride > 1 else phis
+    values = _sweep(state_a, state_b, scheme, grid, loss_r, want_derivative=False)[0]
+    if stride > 1:
+        values = _fourier_resample(values, n_period)
+        values = values if n_period == len(phis) else np.append(values, values[0])
+    if scheme is Scheme.PARITY:
+        return values.clip(-1.0, 1.0)
+    low = values < NEGATIVE_PROBABILITY_TOL
+    if np.any(low):
+        values[low] = expectation_evaluator(state_a, state_b, scheme, loss_r)(phis[low])
+    return values.clip(0.0, 1.0)
 
 
 def expectation_derivative_curve(

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlidar import cli, detection, fock_oracle, metrology, wigner
+from qlidar import cli, detection, fock_oracle, metrology, states, wigner
 
 
 def run_cli(args):
@@ -55,6 +55,22 @@ class TestSignal:
         header, rows = read_csv(out)
         assert header == ["phi", "value_cs", "value_mps0"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize(
+        "args,row,want",
+        [
+            # the raw kernel gives -1.0000000000000004 at pi, where parity_expectation gives -1
+            (["--state-a", "mps1", "--alpha2", "2", "--phi-min", "3.0", "--phi-max", "3.1415926535897931"], 1, "-1"),
+            # the raw kernel gives -1.1641532182693481e-10, where z_expectation clamps to 0
+            (["--state-a", "mps3", "--alpha2", "0.01", "--scheme", "z",
+              "--phi-min", "3.1185829417715083", "--phi-max", "3.2"], 0, "0"),
+        ],
+        ids=["parity", "z"],
+    )
+    def test_values_within_the_observable_range(self, args, row, want, tmp_path):
+        out = tmp_path / "signal.csv"
+        assert run_cli(["signal", *args, "--phi-steps", "2", "--out", str(out)]) == 0
+        assert read_csv(out)[1][row][1] == want
 
     def test_json_matches_csv(self, tmp_path):
         args = ["signal", "--state-a", "ecss", "--alpha2", "1.5", "--phi-steps", "7"]
@@ -348,6 +364,39 @@ class TestOracleCheck:
         assert header == ["state", "alpha2", "zeta2", "phi", "loss_r", "d_parity", "d_zero", "d_pn"]
         assert [(r[0], *map(float, r[1:5])) for r in rows] == list(cli.oracle_grid(quick=True))
         assert all(len(r) == 8 and float(r[5]) == pytest.approx(1e-6, abs=1e-8) for r in rows)
+
+    # the nested loops that built the grid before it became a product of axes
+    @staticmethod
+    def _nested_grid(quick):
+        if quick:
+            axes = (("cs", "mps1"), (2.0,), (0.0, 2.0), (0.3, 2.7), (0.0, 0.5))
+        else:
+            axes = (cli.SIX_STATES, (0.5, 2.0, 8.0), (0.0, 2.0, 25.0), (0.3, 1.1, 2.7), (0.0, 0.2, 0.5))
+        names, alpha2s, zeta2s, phis, losses = axes
+        return [
+            (name, a2, z2, phi, r)
+            for name in names for a2 in alpha2s for z2 in zeta2s for phi in phis for r in losses
+        ]
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_grid_order(self, quick):
+        grid = list(cli.oracle_grid(quick))
+        assert grid == self._nested_grid(quick)
+        assert len(grid) == (16 if quick else 486)
+
+    def test_one_state_build_per_state_and_cell(self, monkeypatch):
+        built = []
+        make_state = states.make_state
+
+        def counted(kind, amplitude):
+            built.append((kind, amplitude))
+            return make_state(kind, amplitude)
+
+        monkeypatch.setattr(states, "make_state", counted)  # vacuum() builds through it
+        monkeypatch.setattr(cli, "make_state", counted)
+        assert run_cli(["oracle-check", "--quick"]) == 0
+        cells = {point[:3] for point in cli.oracle_grid(quick=True)}
+        assert len(built) == 2 * len(cells) == 8
 
 
 class TestSpecHandling:

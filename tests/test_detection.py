@@ -356,8 +356,10 @@ class TestTracedModes:
 
     @staticmethod
     def _check_closed_period(sa, sb, scheme, phis, loss_r, values):
-        """The default curve on a closed period: the direct kernel where no m < P - 1 fits, else within the bound of m."""
+        """The default curve on a closed period: the clipped reference where no m < P - 1 fits, else within the bound of m."""
         got = detection.expectation_curve(sa, sb, scheme, phis, loss_r)
+        assert scheme is Scheme.PARITY or np.min(values) >= detection.NEGATIVE_PROBABILITY_TOL  # no Z takes the scalar's
+        values = values.clip(-1.0 if scheme is Scheme.PARITY else 0.0, 1.0)
         w, amps_in = detection._input_pairs(sa, sb)
         n_phi = len(phis) - 1
         m = detection._spectral_count(w, amps_in, scheme, loss_r, n_phi)

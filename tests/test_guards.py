@@ -156,6 +156,23 @@ class TestP0Floor:
         with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {-2.0 * beta:.3e}")):
             p0_of(out)
 
+    def test_curve_takes_the_scalar_value_below_the_floor(self):
+        # 20 phases, not a period: the kernel runs at each of them, and each raw value lies below the floor
+        phis = self._negative_phases()
+        got = detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis)
+        assert got.tobytes() == detection.expectation_evaluator(self.STATE, vacuum(), Scheme.Z)(phis).tobytes()
+        assert np.all(got >= 0.0)
+
+    def test_curve_below_beta_raises_the_scalar_message(self, monkeypatch):
+        # _pair_sum is the scalar path's sum alone; the curve kernel sums its own terms
+        phis = self._negative_phases()[:1]
+        beta = self._beta(float(phis[0]))
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[2:], -0.5 * beta, dtype=complex))
+        assert detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis).tolist() == [0.0]
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[2:], -2.0 * beta, dtype=complex))
+        with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {-2.0 * beta:.3e}")):
+            detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis)
+
     def test_each_phase_has_its_own_beta(self, monkeypatch):
         # two phases, gauss = 0: beta is 1.8e-7 where the pair terms are 1e8 and 1.8e-15 where they are 1
         w, a = np.ones(2, dtype=complex), np.zeros((2, 2), dtype=complex)
