@@ -137,10 +137,7 @@ def cmd_signal(spec) -> int:
     for name in names:
         state_a = _parse_state(name, energy=spec.alpha2)
         columns.append(detection.expectation_curve(state_a, state_b, scheme, phis, loss_r))
-    if len(names) == 1:
-        header = ["phi", "value"]
-    else:
-        header = ["phi"] + [f"value_{name}" for name in names]
+    header = ["phi", "value"] if len(names) == 1 else ["phi"] + [f"value_{name}" for name in names]
     _write_rows(spec.out, header, [phis] + columns, spec.format)
     return EXIT_OK
 
@@ -166,14 +163,10 @@ def cmd_fwhm(spec) -> int:
     rows = []
     for x in grid:
         row = [float(x)]
+        a2, z2 = (float(x), 0.0) if spec.sweep == "alpha2" else (spec.alpha2, float(x))
         for name in SIX_STATES:
-            if spec.sweep == "alpha2":
-                state_a = _parse_state(name, energy=float(x))
-                state_b = vacuum()
-            else:
-                state_a = _parse_state(name, energy=spec.alpha2)
-                state_b = _parse_state("cs", energy=float(x))
-            curve = metrology.sample_curve(state_a, state_b, scheme, loss_r=loss_r)
+            # a cs state of energy 0 is the vacuum
+            curve = metrology.sample_curve(_parse_state(name, energy=a2), _parse_state("cs", energy=z2), scheme, loss_r=loss_r)
             row.append(metrology.fwhm(curve))
         rows.append(row)
     header = ["x"] + [f"fwhm_{name}" for name in SIX_STATES]
@@ -221,16 +214,15 @@ def cmd_oracle_check(spec) -> int:
     worst = (0.0, None)
     for (name, a2, z2), points in groupby(oracle_grid(spec.quick), key=lambda point: point[:3]):
         state_a = _parse_state(name, energy=a2)
-        state_b = vacuum() if z2 == 0.0 else _parse_state("cs", energy=z2)
+        state_b = _parse_state("cs", energy=z2)
         for *_, phi, r in points:
             config = MziConfig(phi=phi, loss_r=r)
             out = propagate(state_a, state_b, config)
             result = fock_oracle.simulate(state_a, state_b, config)
             d_parity = abs(detection.parity_expectation(out) - result.parity)
-            d_zero = abs(detection.z_expectation(out) - result.zero)
-            n_check = len(result.probs) - 1
-            dist = detection.port_distribution(out, cutoff=n_check)
-            d_pn = float(np.max(np.abs(dist.probs - result.probs)))
+            probs = detection.port_distribution(out, cutoff=len(result.probs) - 1).probs
+            d_zero = abs(float(probs[0]) - result.zero)
+            d_pn = float(np.max(np.abs(probs - result.probs)))
             rows.append([name, a2, z2, phi, r, d_parity, d_zero, d_pn])
             local = max(d_parity, d_zero, d_pn)
             if local > worst[0]:

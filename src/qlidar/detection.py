@@ -246,12 +246,25 @@ def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: fl
     return apply(matrix), aa[:, 0] * derivative[0, 0] + ab[:, 0] * derivative[0, 1]
 
 
-def _curve_values(w, u, du, scheme: Scheme):
+def _slope_bound(w: np.ndarray, amps_in: np.ndarray) -> float:
+    """B = gamma_n 4 S W, n = K^2 + 24, W = (sum_i |w_i|)^2, S = max_k |a_k|^2 + |b_k|^2: the rounding bound of a slope.
+
+    Each slope term has modulus at most 4 S |w_i w_j| and is rounded at most 24 times before the K^2 terms
+    are summed (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 4.2), so a
+    slope sum of :func:`_curve_values` lies within B of the exact, real slope at any phase and loss.
+    """
+    nu = (len(w) ** 2 + 24) * 2.0**-53
+    return nu / (1.0 - nu) * 4.0 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.sum(np.abs(amps_in) ** 2, axis=1)))
+
+
+def _curve_values(w, u, du, scheme: Scheme, slope_bound: float | None):
     """Value sums and, if du is given, slope sums (else None) at the P phases of u, from one terms array.
 
     Mode 0 of u is port a; the other modes are traced out.  The transfer matrix is an isometry on
     the modes u keeps, so sum_m conj(u_im) u_jm does not depend on phi, nor does sum_m |u_im|^2: the
     slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi = (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0.
+    The exact slope is real, so a slope's imaginary residue may reach the residue tolerance or
+    slope_bound (:func:`_slope_bound`), whichever is larger.
     """
     coeffs = (_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)
     n_pairs, n_modes, n_phi = u.shape
@@ -267,12 +280,8 @@ def _curve_values(w, u, du, scheme: Scheme):
     x += np.conj(x.transpose(1, 0, 2))
     x *= terms
     slopes = (coeffs[0] - 1.0) * np.sum(x, axis=(0, 1))
-    try:
-        return values, _real_part(slopes, "slope curve")
-    except ArithmeticError:
-        # the exact slope is real; a sum of K^2 terms keeps a rounding residue up to K^2 2^-53 times their moduli
-        beta = n_pairs**2 * 2.0**-53 * abs(coeffs[0] - 1.0) * np.sum(np.abs(x), axis=(0, 1))
-        return values, _real_part(np.where(np.abs(slopes.imag) <= beta, slopes.real, slopes), "slope curve")
+    rounding = np.abs(slopes.imag) <= np.maximum(IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(slopes.real)), slope_bound)
+    return values, _real_part(np.where(rounding, slopes.real, slopes), "slope curve")
 
 
 def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndarray:
@@ -364,10 +373,11 @@ def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivativ
     loss_r = _check_loss(loss_r)
     values = np.empty(phis.shape)
     slopes = np.empty(phis.shape) if want_derivative else None
+    bound = _slope_bound(w, amps_in) if want_derivative else None
     for lo in range(0, len(phis), CURVE_CHUNK):
         part = slice(lo, lo + CURVE_CHUNK)
         u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r, want_derivative)
-        values[part], chunk_slopes = _curve_values(w, u, du, scheme)
+        values[part], chunk_slopes = _curve_values(w, u, du, scheme, bound)
         if want_derivative:
             slopes[part] = chunk_slopes
     return values, slopes

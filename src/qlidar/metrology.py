@@ -37,7 +37,6 @@ from .states import SuperposedState, mean_photon_number
 
 REFINE_TOL = 1e-8
 PEAK_NOISE_THRESHOLD = 1e-9
-DERIVATIVE_FLOOR = 1e-14
 ZERO_ENERGY_THRESHOLD = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -129,12 +128,13 @@ def sensitivity_curve(
     A vanishing slope is a legitimate operating point (stationary phase), so
     it yields an infinite sensitivity marker rather than an exception, as does a zero
     variance: a bounded signal reaches the edge of its range only at an extremum.
+    A slope within its rounding bound B (:func:`~qlidar.detection._slope_bound`) is zero to rounding.
     """
     floor = snl(state_a, state_b)
     phis = np.asarray(phis, dtype=float)
     values, slopes = detection._sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
     variance = np.maximum(0.0, (1.0 if scheme is Scheme.PARITY else values) - values * values)
-    flat = (np.abs(slopes) < DERIVATIVE_FLOOR) | (variance <= 0.0)
+    flat = (np.abs(slopes) <= detection._slope_bound(*detection._input_pairs(state_a, state_b))) | (variance <= 0.0)
     delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
     delta_phi[flat] = math.inf
     # tuple.__new__ is what the NamedTuple constructor calls, without its per-point Python frame
@@ -375,11 +375,9 @@ def loss_sweep(
     rows = []
     for r in [_check_loss(r) for r in r_grid]:  # the whole grid is checked before any work
         if metric == "ratio":
-            point = phase_sensitivity(state_a, state_b, MziConfig(phi=phi, loss_r=r), scheme)
-            rows.append((r, point.ratio))
+            rows.append((r, phase_sensitivity(state_a, state_b, MziConfig(phi=phi, loss_r=r), scheme).ratio))
         else:
-            curve = sample_curve(state_a, state_b, scheme, loss_r=r)
-            rows.append((r, fwhm(curve)))
+            rows.append((r, fwhm(sample_curve(state_a, state_b, scheme, loss_r=r))))
     return rows
 
 

@@ -152,8 +152,7 @@ def make_state(kind: StateKind, alpha: complex) -> SuperposedState:
     if kind is StateKind.ECSS:
         return SuperposedState([1.0, 1.0], [1j * alpha, -1j * alpha])
     if kind in MPS_INDEX:
-        j = MPS_INDEX[kind]
-        return SuperposedState([(-1j) ** (j * m) for m in range(4)], [1j**m * alpha for m in range(4)])
+        return SuperposedState([(-1j) ** (MPS_INDEX[kind] * m) for m in range(4)], [1j**m * alpha for m in range(4)])
     raise ValueError(f"unknown state kind {kind!r}")
 
 

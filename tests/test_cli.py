@@ -188,6 +188,29 @@ class TestSensitivity:
         assert all(rows[i][1] == rows[i][3] == "inf" for i in zero_rows)
         assert all(float(row[1]) > 0.0 and float(row[3]) > 0.0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "args,row,cells",
+        [
+            # a slope of 3.9e-12 lies within its rounding bound B = 1.08e-9, so it is zero to rounding
+            (
+                ["--state-a", "mps3", "--alpha2", "0.01", "--scheme", "z", "--phi-min", "3.10", "--phi-max", "3.2"],
+                5,
+                ["3.1500000000000004", "inf"],
+            ),
+            # a slope of -2.1e-15 lies beyond its B = 1.8e-16: a large but finite delta_phi
+            (
+                ["--state-a", "mps0", "--alpha2", "0.01", "--phi-min", "1.5", "--phi-max", "1.6"],
+                6,
+                ["1.5600000000000001", "13765680485.904221"],
+            ),
+        ],
+        ids=["mps3-z-within", "mps0-beyond"],
+    )
+    def test_slope_rounding_bound_decides_stationary_points(self, args, row, cells, tmp_path):
+        out = tmp_path / "sens.csv"
+        assert run_cli(["sensitivity"] + args + ["--phi-steps", "11", "--out", str(out)]) == 0
+        assert read_csv(out)[1][row][:2] == cells
+
     @pytest.mark.parametrize("steps", [17, 201])
     def test_slope_rounding_residue_is_no_numerical_limit(self, steps, tmp_path):
         # mps3 at alpha2 = 0.1 against a zeta2 = 25 coherent state: its slope sums keep an imaginary residue of

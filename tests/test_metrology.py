@@ -272,9 +272,10 @@ class TestSensitivity:
         points = met.sensitivity_curve(sa, sb, scheme, grid, loss_r)
         values = detection.expectation_curve(sa, sb, scheme, grid, loss_r)
         slopes = detection.expectation_derivative_curve(sa, sb, scheme, grid, loss_r)
+        bound = detection._slope_bound(*detection._input_pairs(sa, sb))
         for point, value, slope in zip(points, values, slopes):
             variance = max(0.0, 1.0 - value * value) if scheme is Scheme.PARITY else max(0.0, value - value * value)
-            flat = abs(slope) < met.DERIVATIVE_FLOOR or variance <= 0.0
+            flat = abs(slope) <= bound or variance <= 0.0
             assert point.delta_phi == (math.inf if flat else math.sqrt(variance) / abs(slope))
 
     def test_coherent_never_beats_floor(self):

@@ -19,7 +19,7 @@ from scipy.special import gammainc
 from qlidar import cli, detection, fock_oracle, metrology, wigner
 from qlidar.detection import Scheme
 from qlidar.interferometer import MziConfig, propagate
-from qlidar.states import IMAG_RESIDUE_TOL, StateKind, SuperposedState, density_operator, gram_sum, make_state, vacuum
+from qlidar.states import IMAG_RESIDUE_TOL, StateKind, SuperposedState, _overlap_exponent, density_operator, gram_sum, make_state, vacuum
 
 from helpers import (
     reference_curve,
@@ -125,7 +125,7 @@ def test_phase_sensitivity_is_one_point_curve(kind, alpha2, zeta2, phi, loss_r, 
 @PROPERTY_SETTINGS
 @given(kinds, schemes, st.floats(0.1, 8.0), zeta2s, losses, st.integers(1, 64))
 def test_slopes_and_stationary_points_match_four_mode_reference(kind, scheme, alpha2, zeta2, loss_r, quarter):
-    # the grid holds 0, +-pi/2 and +-pi, where slopes vanish and the class hangs on DERIVATIVE_FLOOR
+    # the grid holds 0, +-pi/2 and +-pi, where slopes vanish and the class hangs on the engine's slope bound B
     grid = np.linspace(-math.pi, math.pi, 4 * quarter + 1)
     grid[[quarter, 2 * quarter, 3 * quarter]] = -0.5 * math.pi, 0.0, 0.5 * math.pi
     sa, sb = _inputs(kind, alpha2, zeta2)
@@ -133,12 +133,32 @@ def test_slopes_and_stationary_points_match_four_mode_reference(kind, scheme, al
     bound = reference_slope_bound(sa, sb)
     assert np.max(np.abs(detection.expectation_derivative_curve(sa, sb, scheme, grid, loss_r) - slopes)) <= bound
     # the class rule of metrology.sensitivity_curve, on the reference slopes; the values are the engine's bits
+    b = detection._slope_bound(*detection._input_pairs(sa, sb))
     variance = np.maximum(0.0, 1.0 - values * values if scheme is Scheme.PARITY else values - values * values)
-    flat = (np.abs(slopes) < metrology.DERIVATIVE_FLOOR) | (variance <= 0.0)
+    flat = (np.abs(slopes) <= b) | (variance <= 0.0)
     got = np.isinf([p.delta_phi for p in metrology.sensitivity_curve(sa, sb, scheme, grid, loss_r)])
-    # nearer the floor than the bound, a slope is rounding noise in both kernels
-    clear = np.abs(np.abs(slopes) - metrology.DERIVATIVE_FLOOR) > bound
+    # nearer B than the bound, a slope is rounding noise in both kernels
+    clear = np.abs(np.abs(slopes) - b) > bound
     assert np.array_equal(got[clear], flat[clear])
+
+
+@PROPERTY_SETTINGS
+@given(kinds, schemes, st.floats(0.01, 8.0), zeta2s, losses, st.integers(2, 64))
+def test_slope_bound_covers_each_phase_rounding_bound(kind, scheme, alpha2, zeta2, loss_r, steps):
+    # B admits every slope residue that the per-phase post-cancellation bound
+    # beta = K^2 2^-53 |c_0 - 1| sum_ij |x_ij| admits, so the one residue rule only widens
+    sa, sb = _inputs(kind, alpha2, zeta2)
+    w, amps_in = detection._input_pairs(sa, sb)
+    phis = np.linspace(-math.pi, math.pi, steps)
+    u, du = detection._phase_resolved_amplitudes(amps_in, phis, loss_r, want_derivative=True)
+    c = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
+    exponent = _overlap_exponent(u[:, 0, :], c) + sum(_overlap_exponent(u[:, m, :]) for m in range(1, u.shape[1]))
+    x = np.conj(du)[:, None, :] * u[None, :, 0, :]
+    x = (x + np.conj(x.transpose(1, 0, 2))) * (np.conj(w)[:, None] * w[None, :])[:, :, None] * np.exp(exponent)
+    beta = len(w) ** 2 * 2.0**-53 * abs(c - 1.0) * np.sum(np.abs(x), axis=(0, 1))
+    bound = detection._slope_bound(w, amps_in)
+    assert np.all(beta <= bound)
+    assert 2.0 * bound == reference_slope_bound(sa, sb)  # the one-kernel half of the reference bound
 
 
 @PROPERTY_SETTINGS

@@ -129,7 +129,7 @@ def test_only_a_period_to_the_bit_is_sampled_spectrally(monkeypatch):
     grids = [period, closed, nudged, end_off, second_off, period[:-1]]
     kernel_points = []
     kernel = detection._curve_values
-    monkeypatch.setattr(detection, "_curve_values", lambda w, u, du, s: kernel_points.append(u.shape[-1]) or kernel(w, u, du, s))
+    monkeypatch.setattr(detection, "_curve_values", lambda w, u, *rest: kernel_points.append(u.shape[-1]) or kernel(w, u, *rest))
     for phis in grids:
         del kernel_points[:]
         got = detection.expectation_curve(sa, vacuum(), scheme, phis)
