@@ -15,9 +15,10 @@ construction, so every sum, scalar or curve, goes through the one residue check
 :func:`~qlidar.states._real_part` rather than silently dropping its imaginary
 part.
 
-Parity and Z also take an output with a leading axis over P phases.  Each
-phase's sum is the gemv and dot of a one-phase sum over its own contiguous
-(K, K) block, so every value is bit-identical to the one-phase call.
+Parity and Z also take an output with a leading axis over P phases, which
+stays first in the pair data, (P, K) and (P, K, K).  Each phase's sum is the
+gemv and dot of a one-phase sum over its own contiguous (K, K) block, so every
+value is bit-identical to the one-phase call.
 
 Each pair term is exp(A + B e^{i phi} + C e^{-i phi}), so a value curve over one
 full period, with or without its end point, is fixed by a few dozen to a few
@@ -84,23 +85,29 @@ def _traced_modes(loss_r: float) -> tuple[int, ...]:
     return (1,) if loss_r == 0.0 else (1, 2, 3)
 
 
+def _pair_exponent(u: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """:func:`~qlidar.states._overlap_exponent` for the pairs along the last axis of u: (P, K) amplitudes give (P, K, K)."""
+    uu = np.abs(u) ** 2
+    return -0.5 * (uu[..., :, None] + uu[..., None, :]) + c * np.conj(u)[..., :, None] * u[..., None, :]
+
+
 def _pair_data(out: FourModeOutput):
     """Weights, port-a amplitudes, and the product of the traced-mode overlaps.
 
-    Over P phases the amplitudes are (K, P) and the overlap product (K, K, P).
+    Over P phases the amplitudes are (P, K) and the overlap product (P, K, K).
     """
     w, amps = out.weights, out.amplitudes
-    rest = np.ones((len(w), len(w)) + amps.shape[:-2], dtype=complex)
-    for m in _traced_modes(out.loss_r):
-        rest *= np.exp(_overlap_exponent(amps[..., m].T))
-    return w, amps[..., 0].T, rest
+    first, *others = _traced_modes(out.loss_r)
+    rest = np.exp(_pair_exponent(amps[..., first]))
+    for m in others:  # in place: numpy's complex product of size-1 arrays may differ out of place in the last bit
+        rest *= np.exp(_pair_exponent(amps[..., m]))
+    return w, amps[..., 0], rest
 
 
 def _pair_sum(w: np.ndarray, x: np.ndarray):
-    """sum_ij conj(w_i) x_ij w_j for x of shape (K, K), or one such sum per phase for (K, K, P)."""
+    """sum_ij conj(w_i) x_ij w_j for x of shape (K, K), or one such sum per phase for a contiguous (P, K, K)."""
     if x.ndim == 2:
         return np.conj(w) @ x @ w
-    x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     return ((np.conj(w) @ x)[:, None, :] @ w[:, None])[:, 0, 0]
 
 
@@ -115,7 +122,7 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     rounding bound of :func:`_p0_rounding_bound`; P(n >= 1) below the former.
     """
     aa = np.abs(a) ** 2
-    gauss = -0.5 * (aa[:, None] + aa[None, :])
+    gauss = -0.5 * (aa[..., :, None] + aa[..., None, :])
     vacuum_terms = np.exp(gauss) * rest
     p0 = _real_part(_pair_sum(w, vacuum_terms), "P(0)")
     lowest = p0 if isinstance(p0, float) else p0.min(initial=np.inf)
@@ -123,7 +130,7 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
         bad = (p0 < NEGATIVE_PROBABILITY_TOL) & (p0 < -_p0_rounding_bound(w, vacuum_terms))
         if np.any(bad):
             raise NegativeProbability(f"P(0) = {np.min(p0, where=bad, initial=np.inf):.3e}")
-    probs = np.empty((cutoff + 1,) + a.shape[1:])
+    probs = np.empty((cutoff + 1,) + a.shape[:-1])
     probs[0] = p0
     if cutoff == 0:
         return probs.clip(0.0, 1.0)
@@ -151,7 +158,7 @@ def _p0_rounding_bound(w: np.ndarray, vacuum_terms: np.ndarray):
     as negative as -beta (1.07e-8 for mps3 at |alpha|^2 = 0.01).
     """
     absw = np.abs(w)
-    return len(w) ** 2 * 2.0**-53 * np.einsum("i,ij...,j->...", absw, np.abs(vacuum_terms), absw)
+    return len(w) ** 2 * 2.0**-53 * np.einsum("i,...ij,j->...", absw, np.abs(vacuum_terms), absw)
 
 
 def default_cutoff(out: FourModeOutput) -> int:
@@ -187,8 +194,8 @@ def port_distribution(out: FourModeOutput, cutoff: int | None = None) -> PortDis
 def parity_expectation(out: FourModeOutput):
     """<Pi> at port a, the (-1)^n-weighted photon sum in closed form; one value per phase over P phases."""
     w, a, rest = _pair_data(out)
-    val = _real_part(_pair_sum(w, np.exp(_overlap_exponent(a, -1.0)) * rest), "parity")
-    return np.clip(val, -1.0, 1.0) if isinstance(val, np.ndarray) else min(max(val, -1.0), 1.0)
+    val = _real_part(_pair_sum(w, np.exp(_pair_exponent(a, -1.0)) * rest), "parity")
+    return np.minimum(np.maximum(val, -1.0), 1.0) if isinstance(val, np.ndarray) else min(max(val, -1.0), 1.0)
 
 
 def z_expectation(out: FourModeOutput):
@@ -267,9 +274,8 @@ def _curve_values(w, u, du, scheme: Scheme, slope_bound: float | None):
     slope_bound (:func:`_slope_bound`), whichever is larger.
     """
     coeffs = (_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)
-    n_pairs, n_modes, n_phi = u.shape
-    exponent = np.zeros((n_pairs, n_pairs, n_phi), dtype=complex)
-    for m in range(n_modes):
+    exponent = _overlap_exponent(u[:, 0, :], coeffs[0])
+    for m in range(1, u.shape[1]):
         exponent += _overlap_exponent(u[:, m, :], coeffs[m])
     pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
     terms = pair_w * np.exp(exponent)

@@ -147,5 +147,5 @@ def _output(weights: np.ndarray, amps_in: np.ndarray, phi, loss_r: float) -> Fou
     """
     matrix = _transfer_matrix(phi, loss_r)
     if matrix.ndim == 3:
-        matrix = np.ascontiguousarray(np.moveaxis(matrix, -1, 0))
+        matrix = np.ascontiguousarray(matrix.transpose(2, 0, 1))
     return FourModeOutput(weights, amps_in @ matrix.swapaxes(-1, -2), loss_r)

@@ -17,15 +17,15 @@ midline and the peaks that are reported.
 The evaluator contract: a float phase gives a float, and a 1-D array of
 phases gives an array of the values at those phases.  Searches that do not
 depend on each other (the peaks of one window, the two crossings of one
-width) run in lockstep: each step evaluates the points of all unfinished
-searches in one array call, and a float call when one point is left.
+width) run in lockstep: one array call holds the points of every unfinished
+search for its next AHEAD steps, both outcomes of each (:func:`_look_ahead`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,6 +39,7 @@ REFINE_TOL = 1e-8
 PEAK_NOISE_THRESHOLD = 1e-9
 ZERO_ENERGY_THRESHOLD = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+AHEAD = 3  # steps each search asks at a time; see _look_ahead
 
 
 class NoPeak(ValueError, ArithmeticError):
@@ -145,9 +146,9 @@ def _lockstep(f: Callable, searches: list) -> list:
     """Run search generators side by side and return their results in order.
 
     A search yields a tuple of points, is sent the tuple of values of f
-    there, and returns its result.  Each step makes one call of f on the
-    points of every unfinished search: a float call for a single point, an
-    array call otherwise.  So each search sees the values it would see alone.
+    there, and returns its result.  Each step makes one array call of f on
+    the points of every unfinished search, each value bit-identical to the
+    float call at its point, so each search sees the values it would see alone.
     """
     results = [None] * len(searches)
     replies = dict.fromkeys(range(len(searches)))
@@ -160,10 +161,31 @@ def _lockstep(f: Callable, searches: list) -> list:
                 results[k] = stop.value
         if not asks:
             break
-        points = [float(x) for pts in asks.values() for x in pts]
-        values = iter([f(points[0])] if len(points) == 1 else f(np.array(points)).tolist())
-        replies = {k: tuple(next(values) for _ in pts) for k, pts in asks.items()}
+        values = iter(f(np.array([float(x) for pts in asks.values() for x in pts])).tolist())
+        replies = {k: tuple(islice(values, len(pts))) for k, pts in asks.items()}
     return results
+
+
+def _look_ahead(state: tuple, step: Callable, tol: float):
+    """A search for :func:`_lockstep` that narrows the bracket state[:2] until it is within tol, and returns its midpoint.
+
+    step(state) gives the next point x and the function of f(x) that gives the
+    next state.  Each ask holds the points of the next AHEAD steps, breadth-first,
+    found by step itself with f(x) = +-2^(1020 + k) at depth k, above or below all
+    earlier values: both outcomes of comparing f(x) with them.  The steps are then
+    replayed on the values, looked up by point, until a point was not asked.
+    """
+    while state[1] - state[0] > tol:
+        level, points = [step(state)], []
+        for k in range(AHEAD - 1):
+            points += [x for x, _ in level]
+            big = math.ldexp(1.0, 1020 + k)
+            level = [step(s) for _, after in level for s in (after(big), after(-big)) if s[1] - s[0] > tol]
+        points += [x for x, _ in level]
+        values = dict(zip(points, (yield tuple(points))))
+        while state[1] - state[0] > tol and (node := step(state))[0] in values:
+            state = node[1](values[node[0]])
+    return 0.5 * (state[0] + state[1])
 
 
 def _golden_search(lo: float, hi: float, tol: float = REFINE_TOL):
@@ -172,34 +194,25 @@ def _golden_search(lo: float, hi: float, tol: float = REFINE_TOL):
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = yield c, d
-    while b - a > tol:
+
+    def step(s):  # keep [a, d] if f(c) > f(d), else [c, b], and ask the new inner point x
+        a, b, c, d, fc, fd = s
         if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            (fd,) = yield (d,)
-    return 0.5 * (a + b)
+            return (x := d - GOLDEN * (d - a)), lambda v: (a, d, x, c, v, fc)
+        return (x := c + GOLDEN * (b - c)), lambda v: (c, b, d, x, fd, v)
+
+    return (yield from _look_ahead((a, b, c, d, fc, fd), step, tol))
 
 
 def _bisect_search(lo: float, hi: float, flo: float, fhi: float, tol: float = REFINE_TOL):
     """Bisection root on [lo, hi], whose end values flo and fhi differ in sign, as a search for :func:`_lockstep`."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    while hi - lo > tol:
+
+    def step(s):  # keep the half whose end values differ in sign; an exact zero at x closes the bracket to [x, x]
+        lo, hi, flo = s
         mid = 0.5 * (lo + hi)
-        (fm,) = yield (mid,)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return mid, lambda v: (mid, mid, v) if v == 0.0 else (mid, hi, v) if (v < 0.0) == (flo < 0.0) else (lo, mid, flo)
+
+    return (yield from _look_ahead((lo, lo, flo) if flo == 0.0 else (hi, hi, fhi) if fhi == 0.0 else (lo, hi, flo), step, tol))
 
 
 def _strict_maxima(signal: np.ndarray, periodic: bool) -> np.ndarray:

@@ -396,3 +396,21 @@ class TestTracedModes:
                 op = detection.reduced_port_a(out)
                 assert np.array_equal(op.coeffs, np.conj(w)[:, None] * w[None, :] * rest)
                 assert np.array_equal(op.amplitudes, a)
+
+    @pytest.mark.parametrize(
+        "kind, alpha2, zeta2",
+        [(StateKind.CS, 51.0, 2.0), (StateKind.CS, 51.0, 0.0), (StateKind.CS, 2.0, 2.0), (StateKind.MPS3, 8.0, 2.0)],
+    )
+    def test_lossy_pair_data_is_the_reference_bit_for_bit(self, kind, alpha2, zeta2):
+        # K = 1 for cs and 4 for mps3.  numpy's complex product of two size-1 arrays differs in place and out of
+        # place in the last bit, so the traced overlaps must multiply in place, as the reference does; out of
+        # place, cs at alpha^2 = 51 or 2 moves reduced_port_a's coefficient at some phases
+        sa, sb = make_state(kind, math.sqrt(alpha2)), cs(zeta2) if zeta2 else vacuum()
+        for phi in np.linspace(-math.pi, math.pi, 61).tolist():
+            out = propagate(sa, sb, MziConfig(phi=phi, loss_r=0.5))
+            w, a, rest = reference_pair_data(out)
+            assert [x.tobytes() for x in detection._pair_data(out)] == [w.tobytes(), a.tobytes(), rest.tobytes()]
+            op = detection.reduced_port_a(out)
+            assert op.coeffs.tobytes() == (np.conj(w)[:, None] * w[None, :] * rest).tobytes()
+            assert op.amplitudes.tobytes() == a.tobytes()
+

@@ -164,19 +164,20 @@ class TestP0Floor:
         assert np.all(got >= 0.0)
 
     def test_curve_below_beta_raises_the_scalar_message(self, monkeypatch):
-        # _pair_sum is the scalar path's sum alone; the curve kernel sums its own terms
+        # _pair_sum is the scalar path's sum alone, over (P, K, K) pair terms; the curve kernel sums its own terms
         phis = self._negative_phases()[:1]
         beta = self._beta(float(phis[0]))
-        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[2:], -0.5 * beta, dtype=complex))
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[:-2], -0.5 * beta, dtype=complex))
         assert detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis).tolist() == [0.0]
-        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[2:], -2.0 * beta, dtype=complex))
+        monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.full(x.shape[:-2], -2.0 * beta, dtype=complex))
         with pytest.raises(detection.NegativeProbability, match=re.escape(f"P(0) = {-2.0 * beta:.3e}")):
             detection.expectation_curve(self.STATE, vacuum(), Scheme.Z, phis)
 
     def test_each_phase_has_its_own_beta(self, monkeypatch):
-        # two phases, gauss = 0: beta is 1.8e-7 where the pair terms are 1e8 and 1.8e-15 where they are 1
+        # two phases, gauss = 0: beta is 1.8e-7 where the pair terms are 1e8 and 1.8e-15 where they are 1;
+        # over P phases the amplitudes are (P, K) and the overlap product (P, K, K)
         w, a = np.ones(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-        rest = np.stack([np.full((2, 2), 1e8, dtype=complex), np.ones((2, 2), dtype=complex)], axis=-1)
+        rest = np.stack([np.full((2, 2), 1e8, dtype=complex), np.ones((2, 2), dtype=complex)])
         for p0, raises in [((-2e-10, -0.5e-10), None), ((-2e-7, -0.5e-10), -2e-7), ((-2e-10, -1.5e-10), -1.5e-10)]:
             monkeypatch.setattr(detection, "_pair_sum", lambda w, x: np.array(p0, dtype=complex))
             if raises is None:

@@ -1,6 +1,7 @@
 """Array evaluations and lockstep searches: bit-identical to the one-phase calls and the one-search-at-a-time refinements."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -97,13 +98,70 @@ class TestArrayEvaluator:
         assert type(batch.value) is type(outcomes[bad[0]]) and str(batch.value) == str(outcomes[bad[0]])
 
     def test_negative_p0_in_an_array_raises_as_the_float_call(self):
+        # over P phases the port-a amplitudes are (P, K) and the overlap product (P, K, K)
         w, a = np.array([0.6, 0.8], dtype=complex), np.array([0.5, -0.5], dtype=complex)
         rests = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex), -2.0 * np.eye(2, dtype=complex)]
         with pytest.raises(detection.NegativeProbability) as lowest:
             detection._photon_probabilities(w, a, rests[2], 0)
         with pytest.raises(detection.NegativeProbability) as batch:
-            detection._photon_probabilities(w, np.stack([a] * 3, axis=-1), np.stack(rests, axis=-1), 0)
+            detection._photon_probabilities(w, np.stack([a] * 3), np.stack(rests), 0)
         assert str(batch.value) == str(lowest.value)
+
+
+TREE = 2**met.AHEAD - 1  # points a search asks in one step: its next AHEAD steps, both outcomes of each
+
+
+def _polynomial(coeffs, center):
+    """sum_k coeffs[k] (x - center)^k by Horner's rule: one float or array expression, bit for bit the same elementwise."""
+
+    def f(x):
+        y, total = x - center, 0.0
+        for c in reversed(coeffs):
+            total = total * y + c
+        return total
+
+    return f
+
+
+def _midpoint(lo: float, hi: float, path) -> float:
+    """The bisection midpoint reached from [lo, hi] by keeping the upper (True) or lower half at each step of path."""
+    for upper in path:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if upper else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _next_steps(reference, *args, start=()):
+    """The points a one-search-at-a-time reference asks in its next AHEAD steps, over every outcome of each step.
+
+    f gives the values of ``start`` first, then +-10^k at the k-th step, above or
+    below every earlier value.
+    """
+    points = set()
+    for signs in itertools.product((1.0, -1.0), repeat=met.AHEAD):
+        asked = []
+
+        def f(x):
+            if len(asked) == len(start) + met.AHEAD:
+                raise _Stop
+            asked.append(x)
+            k = len(asked) - len(start)  # the step after the start points
+            return start[len(asked) - 1] if k <= 0 else signs[k - 1] * 10.0**k
+
+        try:
+            reference(f, *args)
+        except _Stop:
+            pass
+        points.update(asked[len(start) :])
+    return points
+
+
+BRACKETS = st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 3.0)).map(lambda b: (b[0], b[0] + b[1]))
+COEFFS = st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=4)
 
 
 class TestLockstepSearches:
@@ -113,31 +171,91 @@ class TestLockstepSearches:
         alone = []
         for lo, hi in brackets:
             g, seen = _counting(f)
-            alone.append((reference_golden_extremum(g, lo, hi), len(seen) - 1))  # both start points in one step
+            alone.append((reference_golden_extremum(g, lo, hi), len(seen) - 2))  # steps after both start points
         g, seen = _counting(f)
         assert met._lockstep(g, [met._golden_search(lo, hi) for lo, hi in brackets]) == [x for x, _ in alone]
         steps = sorted(n for _, n in alone)
         assert steps[0] < steps[-1]
-        assert len(seen) == steps[-1]  # one call per step
-        assert [np.ndim(x) for x in seen[: steps[-2]]] == [1] * steps[-2]
-        assert [np.ndim(x) for x in seen[steps[-2] :]] == [0] * (steps[-1] - steps[-2])  # the last search alone
+        assert [np.ndim(x) for x in seen] == [1] * len(seen)  # every step is one array call
+        assert len(seen) <= 1 + math.ceil(steps[-1] / met.AHEAD)  # the start points, then one call per AHEAD steps
+        sizes = [len(x) for x in seen]
+        assert sizes[:2] == [2 * len(brackets), TREE * len(brackets)]
+        assert sizes[1:] == sorted(sizes[1:], reverse=True) and sizes[-1] <= TREE  # searches drop out as they finish
 
     def test_bisection_that_hits_zero_exactly(self):
-        f = lambda x: x - 0.5  # the first midpoint of [0, 1] is the root: f == 0.0 exactly
-        g = lambda x: x - 0.123456789
-        calls = []
-
-        def evaluate(x):  # the first point belongs to f while both searches run
-            calls.append(np.ndim(x))
-            return np.array([f(x[0]), g(x[1])]) if np.ndim(x) else g(x)
-
-        searches = [met._bisect_search(0.0, 1.0, f(0.0), f(1.0)), met._bisect_search(0.0, 1.0, g(0.0), g(1.0))]
-        assert met._lockstep(evaluate, searches) == [
-            reference_bisect_crossing(f, 0.0, 1.0, f(0.0), f(1.0)),
-            reference_bisect_crossing(g, 0.0, 1.0, g(0.0), g(1.0)),
+        # one function for both searches: the first midpoint of [0, 1] is its root, 0.0 exactly; [2, 3] holds the other
+        f = lambda x: np.where(x < 1.5, x - 0.5, x - 2.123456789)
+        g, seen = _counting(f)
+        searches = [met._bisect_search(0.0, 1.0, -0.5, 0.5), met._bisect_search(2.0, 3.0, f(2.0), f(3.0))]
+        assert met._lockstep(g, searches) == [
+            reference_bisect_crossing(f, 0.0, 1.0, -0.5, 0.5),
+            reference_bisect_crossing(f, 2.0, 3.0, f(2.0), f(3.0)),
         ]
-        assert reference_bisect_crossing(f, 0.0, 1.0, f(0.0), f(1.0)) == 0.5
-        assert calls[0] == 1 and set(calls[1:]) == {0}
+        assert reference_bisect_crossing(f, 0.0, 1.0, -0.5, 0.5) == 0.5
+        assert [len(x) for x in seen[:2]] == [2 * TREE, TREE]  # the first search stops at its first point
+        assert all(np.all(x > 1.5) for x in seen[1:])
+
+    @settings(deadline=None, max_examples=60)
+    @given(bracket=BRACKETS, start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), flo=st.sampled_from([-0.5, 0.5]))
+    def test_each_ask_holds_every_point_of_the_next_steps(self, bracket, start, flo):
+        lo, hi = bracket
+        golden = met._golden_search(lo, hi)
+        assert len(golden.send(None)) == 2  # the start points, one step
+        tree = golden.send(start)
+        assert len(tree) == TREE and set(tree) == _next_steps(reference_golden_extremum, lo, hi, start=start)
+        tree = met._bisect_search(lo, hi, flo, -flo).send(None)
+        assert len(tree) == TREE and set(tree) == _next_steps(reference_bisect_crossing, lo, hi, flo, -flo)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        specs=st.lists(st.tuples(BRACKETS, st.integers(1, 3 * met.AHEAD + 2)), min_size=1, max_size=4),
+        coeffs=COEFFS,
+        center=st.floats(-4.0, 4.0),
+    )
+    def test_golden_searches_equal_the_one_search_reference(self, specs, coeffs, center):
+        # a tolerance just above the width after n steps: some searches finish mid-tree, at different steps
+        f = _polynomial([0.0, 0.0, -1.0] + coeffs, center)
+        tols = [(hi - lo) * met.GOLDEN ** (n + 1) * 1.001 for (lo, hi), n in specs]
+        g, seen = _counting(f)
+        got = met._lockstep(g, [met._golden_search(lo, hi, tol) for ((lo, hi), _), tol in zip(specs, tols)])
+        assert got == [reference_golden_extremum(f, lo, hi, tol) for ((lo, hi), _), tol in zip(specs, tols)]
+        assert all(np.ndim(x) == 1 and len(x) <= TREE * len(specs) for x in seen)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        specs=st.lists(
+            st.tuples(BRACKETS, st.integers(1, 3 * met.AHEAD + 2), st.lists(st.booleans(), min_size=1, max_size=met.AHEAD)),
+            min_size=1,
+            max_size=4,
+        ),
+        coeffs=COEFFS,
+        exact=st.booleans(),
+    )
+    def test_bisections_equal_the_one_search_reference(self, specs, coeffs, exact):
+        # search k runs on its bracket shifted by 20 k, where f has its own root: with exact, a midpoint of the
+        # first, second or third level, where f is 0.0 exactly
+        brackets, roots = [], []
+        for k, ((lo, hi), n, path) in enumerate(specs):
+            lo, hi = lo + 20.0 * k, hi + 20.0 * k
+            brackets.append((lo, hi, (hi - lo) * 0.5**n * 1.001))
+            roots.append(_midpoint(lo, hi, path[:-1]) if exact else lo + (hi - lo) * (0.1 + 0.8 * sum(path) / len(path)))
+        growth = _polynomial([1.0] + [0.1 * c for c in coeffs], 0.0)
+
+        def piece(x, root):  # the sign of x - root
+            g = growth(x - root)
+            return (x - root) * (g * g + 0.5)
+
+        def f(x):
+            k = np.clip(np.floor((np.asarray(x) + 10.0) / 20.0).astype(int), 0, len(specs) - 1)
+            return np.choose(k, [piece(x, root) for root in roots])
+
+        alone = [reference_bisect_crossing(f, lo, hi, f(lo), f(hi), tol) for lo, hi, tol in brackets]
+        g, seen = _counting(f)
+        assert met._lockstep(g, [met._bisect_search(lo, hi, f(lo), f(hi), tol) for lo, hi, tol in brackets]) == alone
+        assert all(np.ndim(x) == 1 and len(x) <= TREE * len(specs) for x in seen)
+        reached = [len(path) <= n for _, n, path in specs]
+        if exact:
+            assert [x == root for x, root, hit in zip(alone, roots, reached) if hit] == [True] * sum(reached)
 
     def test_bisection_with_a_zero_end_value_makes_no_call(self):
         def never(x):
