@@ -237,55 +237,54 @@ def expectation_evaluator(
     return evaluate
 
 
-def _phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float, want_derivative: bool):
-    """Output amplitudes u of K input pairs over P phases and, if wanted, port a's phase derivative du (else None).
-
-    u has shape (K, M, P): rows 0 and :func:`_traced_modes` of the transfer
-    matrix applied to the (K, 2) input amplitudes at every phase; du is the
-    derivative of row 0 applied to them, of shape (K, P).
-    """
-    rows = [0, *_traced_modes(loss_r)]
-    aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
-    apply = lambda m: aa * m[rows, 0] + ab * m[rows, 1]
-    if not want_derivative:
-        return apply(_transfer_matrix(phis, loss_r)), None
-    matrix, derivative = _transfer_matrix(phis, loss_r, with_derivative=True)
-    return apply(matrix), aa[:, 0] * derivative[0, 0] + ab[:, 0] * derivative[0, 1]
-
-
 def _slope_bound(w: np.ndarray, amps_in: np.ndarray) -> float:
     """B = gamma_n 4 S W, n = K^2 + 24, W = (sum_i |w_i|)^2, S = max_k |a_k|^2 + |b_k|^2: the rounding bound of a slope.
 
     Each slope term has modulus at most 4 S |w_i w_j| and is rounded at most 24 times before the K^2 terms
     are summed (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 4.2), so a
-    slope sum of :func:`_curve_values` lies within B of the exact, real slope at any phase and loss.
+    slope sum of :func:`_chunk_sums` lies within B of the exact, real slope at any phase and loss.
     """
     nu = (len(w) ** 2 + 24) * 2.0**-53
     return nu / (1.0 - nu) * 4.0 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.sum(np.abs(amps_in) ** 2, axis=1)))
 
 
-def _curve_values(w, u, du, scheme: Scheme, slope_bound: float | None):
-    """Value sums and, if du is given, slope sums (else None) at the P phases of u, from one terms array.
+def _chunk_sums(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: float | None, work):
+    """The value sums, and the slope sums if slope_bound is given, at the P phases of one curve chunk.
 
-    Mode 0 of u is port a; the other modes are traced out.  The transfer matrix is an isometry on
-    the modes u keeps, so sum_m conj(u_im) u_jm does not depend on phi, nor does sum_m |u_im|^2: the
-    slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi = (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0.
+    Port a (mode 0, c = c_0) and each mode m of :func:`_traced_modes` (c = 1) add the pair exponent of
+    their amplitudes u_m = a M[m, 0] + b M[m, 1] to one (K, K, P) array in place, bit for bit as a
+    (K, M, P) stack of the modes would; ``work`` holds it, a mode's exponent and that exponent's real
+    Gaussian part in two complex and one real flat buffer of at least K^2 P entries, reused by every chunk.
+    The transfer matrix is an isometry on the modes the sums keep, so sum_m conj(u_im) u_jm does not
+    depend on phi, nor does sum_m |u_im|^2: the slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi =
+    (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0, with du port a's derivative row applied to (a, b).
     The exact slope is real, so a slope's imaginary residue may reach the residue tolerance or
     slope_bound (:func:`_slope_bound`), whichever is larger.
     """
-    coeffs = (_PORT_A_CROSS[scheme], 1.0, 1.0, 1.0)
-    exponent = _overlap_exponent(u[:, 0, :], coeffs[0])
-    for m in range(1, u.shape[1]):
-        exponent += _overlap_exponent(u[:, m, :], coeffs[m])
-    pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
-    terms = pair_w * np.exp(exponent)
+    matrix, derivative = _transfer_matrix(phis, loss_r, with_derivative=slope_bound is not None)
+    shape = (len(w), len(w), len(phis))
+    exponent, cross, gauss = (buffer[: math.prod(shape)].reshape(shape) for buffer in work)
+    aa, ab, c0 = amps_in[:, 0, None], amps_in[:, 1, None], _PORT_A_CROSS[scheme]
+    port_a = aa * matrix[0, 0] + ab * matrix[0, 1]
+    for m in (0, *_traced_modes(loss_r)):
+        u = aa * matrix[m, 0] + ab * matrix[m, 1] if m else port_a
+        uu = np.abs(u) ** 2
+        np.add(uu[:, None], uu[None, :], out=gauss)
+        gauss *= -0.5
+        mode = cross if m else exponent  # port a's exponent starts the sum, and each traced mode's is added to it
+        np.multiply(((1.0 if m else c0) * np.conj(u))[:, None], u[None, :], out=mode)
+        np.add(gauss, mode, out=mode)
+        if m:
+            exponent += cross
+    terms = np.exp(exponent, out=exponent)
+    np.multiply((np.conj(w)[:, None] * w[None, :])[:, :, None], terms, out=terms)
     values = _real_part(np.sum(terms, axis=(0, 1)), "curve")
-    if du is None:
-        return values, None
-    x = np.conj(du)[:, None, :] * u[None, :, 0, :]
+    if slope_bound is None:
+        return (values,)
+    x = np.multiply(np.conj(aa * derivative[0, 0] + ab * derivative[0, 1])[:, None, :], port_a[None, :, :], out=cross)
     x += np.conj(x.transpose(1, 0, 2))
     x *= terms
-    slopes = (coeffs[0] - 1.0) * np.sum(x, axis=(0, 1))
+    slopes = (c0 - 1.0) * np.sum(x, axis=(0, 1))
     rounding = np.abs(slopes.imag) <= np.maximum(IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(slopes.real)), slope_bound)
     return values, _real_part(np.where(rounding, slopes.real, slopes), "slope curve")
 
@@ -314,7 +313,7 @@ def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, lo
 
     Port a's row of the transfer matrix is M0 + M1 e^{i phi}, read off at phi = 0
     and pi, so its amplitudes are p + q e^{i phi}.  The matrix is an isometry on the
-    modes a pair sum keeps (:func:`_curve_values`), so each pair exponent is the
+    modes a pair sum keeps (:func:`_chunk_sums`), so each pair exponent is the
     input overlap exponent E_ij (both ports) plus (c_0 - 1) conj(u_i0) u_j0, which is
     A + B e^{i phi} + C e^{-i phi} with A = E + (c_0 - 1)(conj(p_i) p_j + conj(q_i) q_j)
     and B = (c_0 - 1) conj(p_i) q_j.
@@ -326,7 +325,7 @@ def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, lo
     C_ij = conj(B_ji) and Re A_ij = Re A_ji, so the tails towards -n sum to those
     towards +n.  The bound is +inf where some |B| reaches N + 1.
     """
-    u = amps_in @ _transfer_matrix(np.array([0.0, math.pi]), loss_r)[0]
+    u = amps_in @ _transfer_matrix(np.array([0.0, math.pi]), loss_r)[0][0]
     p, q = 0.5 * (u[:, 0] + u[:, 1]), 0.5 * (u[:, 0] - u[:, 1])  # (K,): port a's M0 and M1 amplitudes
     c = _PORT_A_CROSS[scheme] - 1.0
     cp = c * np.conj(p)[:, None]
@@ -377,16 +376,12 @@ def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivativ
     if np.ndim(phis) != 1:
         raise ValueError("phases of a curve must be a 1-D array")
     loss_r = _check_loss(loss_r)
-    values = np.empty(phis.shape)
-    slopes = np.empty(phis.shape) if want_derivative else None
+    sums = np.empty((1 + want_derivative, len(phis)))  # values, then slopes if wanted
     bound = _slope_bound(w, amps_in) if want_derivative else None
+    work = [np.empty(len(w) ** 2 * min(len(phis), CURVE_CHUNK), dtype) for dtype in (complex, complex, float)]
     for lo in range(0, len(phis), CURVE_CHUNK):
-        part = slice(lo, lo + CURVE_CHUNK)
-        u, du = _phase_resolved_amplitudes(amps_in, phis[part], loss_r, want_derivative)
-        values[part], chunk_slopes = _curve_values(w, u, du, scheme, bound)
-        if want_derivative:
-            slopes[part] = chunk_slopes
-    return values, slopes
+        sums[:, lo : lo + CURVE_CHUNK] = _chunk_sums(w, amps_in, phis[lo : lo + CURVE_CHUNK], loss_r, scheme, bound, work)
+    return sums[0], sums[1] if want_derivative else None
 
 
 def expectation_curve(
@@ -449,7 +444,7 @@ def expectation_derivative_curve(
     """Vectorized analytic d<X>/dphi over a 1-D grid of phase values.
 
     Each pair term differentiates to itself times the derivative of its exponent, which port a's
-    amplitudes alone carry (:func:`_curve_values`); no finite differencing is involved.
+    amplitudes alone carry (:func:`_chunk_sums`); no finite differencing is involved.
     """
     return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)[1]
 

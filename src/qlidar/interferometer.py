@@ -75,28 +75,29 @@ def _transfer_matrix(phi, loss_r: float, with_derivative: bool = False):
     amplitudes at (port a, port b, env a, env b).  Both 50:50 splitters use
     the i-on-reflection convention, the phase e^{i phi} sits in arm a, and the
     loss splitters act after it.  The matrix is an isometry: photon number is
-    conserved across the four modes.  With ``with_derivative`` the result is
-    the pair (matrix, its phi derivative).
+    conserved across the four modes.  Without loss the environment rows, and
+    their derivative rows, are exact zeros.  Returns the pair (matrix, its phi
+    derivative), the derivative None unless ``with_derivative``.
     """
     t = math.sqrt(1.0 - loss_r**2)
-    half = np.exp(0.5j * phi)
-    full = np.exp(1j * phi)
-    theta = 1j * t * half * np.sin(0.5 * phi)  # arm interference, sine part
-    sigma = 1j * t * half * np.cos(0.5 * phi)  # arm interference, cosine part
+    arm = 1j * t * np.exp(0.5j * phi)
+    theta, sigma = arm * np.sin(0.5 * phi), arm * np.cos(0.5 * phi)  # arm interference, sine and cosine parts
+    full = np.exp(1j * phi) if loss_r or with_derivative else None
     rbar = 1j * loss_r / math.sqrt(2.0)
-    matrix = np.empty((4, 2) + np.shape(phi), dtype=complex)
+    matrix = np.zeros((4, 2) + np.shape(phi), dtype=complex)
     matrix[0, 0], matrix[0, 1] = theta, sigma
     matrix[1, 0], matrix[1, 1] = sigma, -theta
-    matrix[2, 0], matrix[2, 1] = rbar * full, 1j * rbar * full
-    matrix[3, 0], matrix[3, 1] = 1j * rbar, rbar
+    if loss_r:
+        matrix[2, 0], matrix[2, 1] = rbar * full, 1j * rbar * full
+        matrix[3, 0], matrix[3, 1] = 1j * rbar, rbar
     if not with_derivative:
-        return matrix
-    dtheta = 0.5j * t * full
-    dsigma = -0.5 * t * full
+        return matrix, None
+    dtheta, dsigma = 0.5j * t * full, -0.5 * t * full
     derivative = np.zeros_like(matrix)
     derivative[0, 0], derivative[0, 1] = dtheta, dsigma
     derivative[1, 0], derivative[1, 1] = dsigma, -dtheta
-    derivative[2, 0], derivative[2, 1] = 1j * rbar * full, -rbar * full
+    if loss_r:
+        derivative[2, 0], derivative[2, 1] = 1j * rbar * full, -rbar * full
     return matrix, derivative
 
 
@@ -122,11 +123,15 @@ class FourModeOutput:
 def _input_pairs(state_a: SuperposedState, state_b: SuperposedState) -> tuple[np.ndarray, np.ndarray]:
     """Weights (K,) and amplitude pairs (K, 2) of the product input, K = len(a) * len(b).
 
-    Pair k = i * len(b) + j holds the a term i and the b term j.
+    Pair k = i * len(b) + j holds the a term i and the b term j.  Raises
+    ArithmeticError where S = max_k |a_k|^2 + |b_k|^2 reaches 2^52: a pair
+    exponent's imaginary part, of size up to S, then rounds by a radian or more.
     """
     amps_in = np.empty((len(state_a.weights), len(state_b.weights), 2), dtype=complex)
-    amps_in[..., 0] = state_a.amplitudes[:, None]
-    amps_in[..., 1] = state_b.amplitudes[None, :]
+    amps_in[..., 0], amps_in[..., 1] = state_a.amplitudes[:, None], state_b.amplitudes[None, :]
+    largest = float(np.max(np.sum(np.abs(amps_in) ** 2, axis=-1)))
+    if 2.0**-52 * largest >= 1.0:
+        raise ArithmeticError(f"pair exponents lose their phase: S = max_k |a_k|^2 + |b_k|^2 = {largest:.3e} reaches 2^52")
     return np.multiply.outer(state_a.weights, state_b.weights).ravel(), amps_in.reshape(-1, 2)
 
 
@@ -145,7 +150,7 @@ def _output(weights: np.ndarray, amps_in: np.ndarray, phi, loss_r: float) -> Fou
     Each phase is the one-phase matrix product over its own contiguous (4, 2)
     block, so its amplitudes are bit-identical to the one-phase call.
     """
-    matrix = _transfer_matrix(phi, loss_r)
+    matrix = _transfer_matrix(phi, loss_r)[0]
     if matrix.ndim == 3:
         matrix = np.ascontiguousarray(matrix.transpose(2, 0, 1))
     return FourModeOutput(weights, amps_in @ matrix.swapaxes(-1, -2), loss_r)

@@ -12,7 +12,9 @@ pointwise Wigner sum that the separable grid kernel must reproduce, the
 loop forms of the splitter blocks, the Fock encoding and P(n) that the array
 forms must reproduce, the pair sums over all four output modes whose values the
 engine, which skips the vacuum loss environments at zero loss, must reproduce
-bit for bit and whose slopes it must reproduce within a rounding bound, and the
+bit for bit and whose slopes it must reproduce within a rounding bound, the
+entry-by-entry transfer matrix and the (K, M, P) amplitude-stack chunk kernel
+whose bits the engine's zero-loss matrix and in-place chunk kernel must keep, and the
 one-search-at-a-time golden-section, crossing walk and bisection refinements
 whose widths and peak positions the lockstep searches must reproduce exactly,
 and the exact mod-4 series of the vacuum probability of
@@ -380,6 +382,62 @@ def reference_curve(state_a, state_b, scheme: Scheme, phis, loss_r: float):
     # the exact slope is real, so its imaginary part is rounding within the bound that the real part keeps too
     assert np.max(np.abs(slopes.imag)) <= reference_slope_bound(state_a, state_b)
     return _real_part(values, "curve"), slopes.real
+
+
+def reference_transfer_matrix(phi, loss_r: float):
+    """The transfer matrix and its phi derivative built entry by entry at every loss, environment rows included."""
+    t = math.sqrt(1.0 - loss_r**2)
+    half = np.exp(0.5j * phi)
+    full = np.exp(1j * phi)
+    theta = 1j * t * half * np.sin(0.5 * phi)
+    sigma = 1j * t * half * np.cos(0.5 * phi)
+    rbar = 1j * loss_r / math.sqrt(2.0)
+    matrix = np.empty((4, 2) + np.shape(phi), dtype=complex)
+    matrix[0, 0], matrix[0, 1] = theta, sigma
+    matrix[1, 0], matrix[1, 1] = sigma, -theta
+    matrix[2, 0], matrix[2, 1] = rbar * full, 1j * rbar * full
+    matrix[3, 0], matrix[3, 1] = 1j * rbar, rbar
+    dtheta = 0.5j * t * full
+    dsigma = -0.5 * t * full
+    derivative = np.zeros_like(matrix)
+    derivative[0, 0], derivative[0, 1] = dtheta, dsigma
+    derivative[1, 0], derivative[1, 1] = dsigma, -dtheta
+    derivative[2, 0], derivative[2, 1] = 1j * rbar * full, -rbar * full
+    return matrix, derivative
+
+
+def reference_phase_resolved_amplitudes(amps_in: np.ndarray, phis: np.ndarray, loss_r: float):
+    """Output amplitudes u (K, M, P) of the modes that the engine's pair sums keep, and port a's derivative du (K, P).
+
+    Mode 0 of u is port a, then port b, then both environments if loss_r > 0.
+    """
+    rows = [0, 1] if loss_r == 0.0 else [0, 1, 2, 3]
+    matrix, derivative = reference_transfer_matrix(phis, loss_r)
+    aa, ab = amps_in[:, 0, None, None], amps_in[:, 1, None, None]
+    u = aa * matrix[rows, 0] + ab * matrix[rows, 1]
+    return u, aa[:, 0] * derivative[0, 0] + ab[:, 0] * derivative[0, 1]
+
+
+def reference_chunk(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: float):
+    """Values and slopes at the phases of one curve chunk from the (K, M, P) amplitude stack, mode by mode.
+
+    The engine's chunk kernel must reproduce both bit for bit: it sums the
+    same mode exponents in place, without the stack.
+    """
+    u, du = reference_phase_resolved_amplitudes(amps_in, phis, loss_r)
+    coeffs = ({Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme], 1.0, 1.0, 1.0)
+    exponent = _overlap_exponent(u[:, 0, :], coeffs[0])
+    for m in range(1, u.shape[1]):
+        exponent += _overlap_exponent(u[:, m, :], coeffs[m])
+    pair_w = (np.conj(w)[:, None] * w[None, :])[:, :, None]
+    terms = pair_w * np.exp(exponent)
+    values = _real_part(np.sum(terms, axis=(0, 1)), "curve")
+    x = np.conj(du)[:, None, :] * u[None, :, 0, :]
+    x += np.conj(x.transpose(1, 0, 2))
+    x *= terms
+    slopes = (coeffs[0] - 1.0) * np.sum(x, axis=(0, 1))
+    rounding = np.abs(slopes.imag) <= np.maximum(IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(slopes.real)), slope_bound)
+    return values, _real_part(np.where(rounding, slopes.real, slopes), "slope curve")
 
 
 def reference_slope_bound(state_a, state_b) -> float:

@@ -530,6 +530,17 @@ class TestSpecHandling:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha2", ["1e40", "1e16"])
+    def test_pair_exponents_without_phase_are_a_numerical_limit(self, alpha2, tmp_path, capsys):
+        # S = |alpha|^2 >= 2^52 rounds each pair exponent's imaginary part by a radian or more: these specs
+        # printed parity 0 where it is -1 (phi = pi at 1e40) and at phi = 3.0 (1e16), and exited 0
+        args = ["signal", "--state-a", "mps1", "--alpha2", alpha2, "--phi-min", "3.0", "--phi-max", "3.1415926535897931"]
+        out = tmp_path / "x.csv"
+        assert run_cli(args + ["--phi-steps", "2", "--out", str(out)]) == cli.EXIT_NUMERICAL
+        want = f"numerical limit: pair exponents lose their phase: S = max_k |a_k|^2 + |b_k|^2 = {float(alpha2):.3e} reaches 2^52\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["signal", "sensitivity"])
     def test_overflowing_coherent_state_is_a_numerical_limit(self, command, capsys):
         # |alpha|^2 + |alpha|^2 overflows in the 1x1 Gram sum of cs, which fails at construction without a warning

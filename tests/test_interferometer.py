@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mode_mean_photon, output_gram_sum
+from helpers import mode_mean_photon, output_gram_sum, reference_transfer_matrix
 from qlidar import metrology, states
 from qlidar.detection import Scheme
-from qlidar.interferometer import MziConfig, mode_transform, propagate
+from qlidar.interferometer import MziConfig, _input_pairs, _output, mode_transform, propagate
 from qlidar.states import StateKind, make_state, vacuum
 
 CONFIG_GRID = [
@@ -17,6 +17,8 @@ CONFIG_GRID = [
     MziConfig(phi=1.1, loss_r=0.5),
     MziConfig(phi=-2.0, loss_r=0.8),
 ]
+PHASES = [0.7, -2.9, np.linspace(-math.pi, math.pi, 257)]
+PHASE_IDS = ["0.7", "-2.9", "grid"]
 
 
 class TestConfig:
@@ -89,8 +91,40 @@ class TestModeTransform:
         assert m[2, 0] == pytest.approx(rbar * cmath.exp(1.9j), abs=1e-14)
         assert m[3, 0] == pytest.approx(1j * rbar, abs=1e-14)
 
+    @pytest.mark.parametrize("phi", PHASES, ids=PHASE_IDS)
+    def test_zero_loss_environment_rows_are_exact_zeros(self, phi):
+        # +0.0 in every part (no -0.0), in the matrix and its derivative; rows 0-1 keep every bit
+        for got, ref in zip(mode_transform(phi), reference_transfer_matrix(phi, 0.0)):
+            assert got[2:].tobytes() == np.zeros_like(got[2:]).tobytes()
+            assert got[:2].tobytes() == ref[:2].tobytes()
+
+    @pytest.mark.parametrize("loss_r", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("phi", PHASES, ids=PHASE_IDS)
+    def test_lossy_entries_are_the_reference_bit_for_bit(self, phi, loss_r):
+        for got, ref in zip(mode_transform(phi, loss_r), reference_transfer_matrix(phi, loss_r)):
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestPropagate:
+    @pytest.mark.parametrize("loss_r", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("phi", PHASES, ids=PHASE_IDS)
+    def test_port_amplitudes_are_the_reference_bit_for_bit(self, phi, loss_r):
+        # port a and port b from the entry-by-entry matrix, one contiguous (4, 2) block per phase as _output takes it
+        sa, sb = make_state(StateKind.MPS3, 1.3), make_state(StateKind.ECSS, 0.8)
+        w, amps_in = _input_pairs(sa, sb)
+        ref = reference_transfer_matrix(phi, loss_r)[0]
+        if ref.ndim == 3:
+            ref = np.ascontiguousarray(ref.transpose(2, 0, 1))
+        want = (amps_in @ ref.swapaxes(-1, -2))[..., :2]
+        got = _output(w, amps_in, phi, loss_r) if ref.ndim == 3 else propagate(sa, sb, MziConfig(phi=phi, loss_r=loss_r))
+        assert got.amplitudes[..., :2].tobytes() == want.tobytes()
+
+    def test_pair_exponents_without_phase_raise(self):
+        # at S = |a|^2 + |b|^2 = 2^52 a pair exponent's imaginary part rounds by a radian; one ulp below it passes
+        propagate(make_state(StateKind.CS, math.nextafter(2.0**26, 0.0)), vacuum(), MziConfig(phi=0.1))
+        with pytest.raises(ArithmeticError, match=r"lose their phase: S = max_k \|a_k\|\^2 \+ \|b_k\|\^2 = 4\.504e\+15 reaches"):
+            propagate(make_state(StateKind.CS, 2.0**26), vacuum(), MziConfig(phi=0.1))
+
     def test_cs_vacuum_term(self):
         alpha = 1.2
         cfg = MziConfig(phi=0.9, loss_r=0.3)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -22,8 +23,10 @@ from qlidar.interferometer import MziConfig, propagate
 from qlidar.states import IMAG_RESIDUE_TOL, StateKind, SuperposedState, _overlap_exponent, density_operator, gram_sum, make_state, vacuum
 
 from helpers import (
+    reference_chunk,
     reference_curve,
     reference_fmt,
+    reference_phase_resolved_amplitudes,
     reference_rows_text,
     reference_simulate_density,
     reference_slope_bound,
@@ -150,7 +153,7 @@ def test_slope_bound_covers_each_phase_rounding_bound(kind, scheme, alpha2, zeta
     sa, sb = _inputs(kind, alpha2, zeta2)
     w, amps_in = detection._input_pairs(sa, sb)
     phis = np.linspace(-math.pi, math.pi, steps)
-    u, du = detection._phase_resolved_amplitudes(amps_in, phis, loss_r, want_derivative=True)
+    u, du = reference_phase_resolved_amplitudes(amps_in, phis, loss_r)
     c = {Scheme.PARITY: -1.0, Scheme.Z: 0.0}[scheme]
     exponent = _overlap_exponent(u[:, 0, :], c) + sum(_overlap_exponent(u[:, m, :]) for m in range(1, u.shape[1]))
     x = np.conj(du)[:, None, :] * u[None, :, 0, :]
@@ -159,6 +162,41 @@ def test_slope_bound_covers_each_phase_rounding_bound(kind, scheme, alpha2, zeta
     bound = detection._slope_bound(w, amps_in)
     assert np.all(beta <= bound)
     assert 2.0 * bound == reference_slope_bound(sa, sb)  # the one-kernel half of the reference bound
+
+
+@PROPERTY_SETTINGS
+@given(
+    kinds,
+    st.floats(0.01, 60.0),
+    st.one_of(
+        st.builds(vacuum),
+        st.builds(make_state, st.just(StateKind.CS), st.just(math.sqrt(2.0))),
+        st.builds(make_state, st.sampled_from(KINDS[2:]), alpha2s.map(math.sqrt)),
+    ),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    schemes,
+    st.one_of(st.integers(1, 8), st.integers(detection.CURVE_CHUNK, 5 * detection.CURVE_CHUNK // 2)),
+    st.floats(-3.0, math.pi),
+)
+def test_chunk_kernel_is_the_amplitude_stack_kernel_bit_for_bit(kind, alpha2, sb, loss_r, scheme, steps, end):
+    # the in-place chunk kernel keeps every bit of the (K, M, P) stack kernel, values and slopes, in every chunk
+    # of 1 to 2.5 chunks of phases, and on the short grids of the one-phase slope
+    sa = make_state(kind, math.sqrt(alpha2))
+    w, amps_in = detection._input_pairs(sa, sb)
+    grid = np.linspace(-math.pi, end, steps)
+    bound = detection._slope_bound(w, amps_in)
+    chunks = [slice(lo, lo + detection.CURVE_CHUNK) for lo in range(0, steps, detection.CURVE_CHUNK)]
+    try:
+        ref = [reference_chunk(w, amps_in, grid[part], loss_r, scheme, bound) for part in chunks]
+    except ArithmeticError as exc:  # a residue past its tolerance at small alpha2: the kernel raises it alike
+        with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+            detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=True)
+        return
+    ref_values, ref_slopes = (np.concatenate(parts) for parts in zip(*ref))
+    values, slopes = detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=True)
+    assert values.tobytes() == ref_values.tobytes()
+    assert slopes.tobytes() == ref_slopes.tobytes()
+    assert detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=False)[0].tobytes() == ref_values.tobytes()
 
 
 @PROPERTY_SETTINGS

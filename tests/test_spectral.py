@@ -128,8 +128,8 @@ def test_only_a_period_to_the_bit_is_sampled_spectrally(monkeypatch):
     second_off[1] = np.nextafter(second_off[1], 4.0)
     grids = [period, closed, nudged, end_off, second_off, period[:-1]]
     kernel_points = []
-    kernel = detection._curve_values
-    monkeypatch.setattr(detection, "_curve_values", lambda w, u, *rest: kernel_points.append(u.shape[-1]) or kernel(w, u, *rest))
+    kernel = detection._chunk_sums
+    monkeypatch.setattr(detection, "_chunk_sums", lambda w, amps_in, phis, *rest: kernel_points.append(len(phis)) or kernel(w, amps_in, phis, *rest))
     for phis in grids:
         del kernel_points[:]
         got = detection.expectation_curve(sa, vacuum(), scheme, phis)
