@@ -23,11 +23,13 @@ value is bit-identical to the one-phase call.
 Each pair term is exp(A + B e^{i phi} + C e^{-i phi}), so a value curve over one
 full period, with or without its end point, is fixed by a few dozen to a few
 hundred samples; such a curve is evaluated at an a-priori Nyquist count and
-resampled by FFT (:func:`expectation_curve`).
+resampled by FFT (:func:`expectation_curve`).  Curve chunks reuse their grid's
+transfer matrix (:func:`_grid_transfer_matrix`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +42,7 @@ from .states import IMAG_RESIDUE_TOL, CoherentOperator, SuperposedState, _overla
 
 NEGATIVE_PROBABILITY_TOL = -1e-10
 CURVE_CHUNK = 1024  # phases per (K, K, P) pair block of a curve sweep
+GRID_MATRICES = 16  # chunk transfer matrices kept; refine's curves have 12 distinct chunks
 TWO_PI = 2.0 * math.pi
 
 
@@ -248,32 +251,42 @@ def _slope_bound(w: np.ndarray, amps_in: np.ndarray) -> float:
     return nu / (1.0 - nu) * 4.0 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.sum(np.abs(amps_in) ** 2, axis=1)))
 
 
+@functools.lru_cache(maxsize=GRID_MATRICES)
+def _grid_transfer_matrix(phis: bytes, loss_r: float, with_derivative: bool):
+    """:func:`_transfer_matrix` and its derivative at the float64 phases in ``phis``, read-only: built once per grid chunk."""
+    pair = _transfer_matrix(np.frombuffer(phis), loss_r, with_derivative)
+    for array in pair[: 1 + with_derivative]:
+        array.flags.writeable = False
+    return pair
+
+
 def _chunk_sums(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: float | None, work):
     """The value sums, and the slope sums if slope_bound is given, at the P phases of one curve chunk.
 
     Port a (mode 0, c = c_0) and each mode m of :func:`_traced_modes` (c = 1) add the pair exponent of
-    their amplitudes u_m = a M[m, 0] + b M[m, 1] to one (K, K, P) array in place, bit for bit as a
-    (K, M, P) stack of the modes would; ``work`` holds it, a mode's exponent and that exponent's real
-    Gaussian part in two complex and one real flat buffer of at least K^2 P entries, reused by every chunk.
+    their amplitudes u_m = a M[m, 0] + b M[m, 1] (M from :func:`_grid_transfer_matrix`) to one (K, K, P) array in
+    place, bit for bit as a (K, M, P) stack of the modes would; its real Gaussian part adds the exact halves
+    -|u_i|^2 / 2 and -|u_j|^2 / 2, and is port a's whole exponent for Z (c_0 = 0).  ``work`` holds the sum, a
+    mode's exponent and its Gaussian part in two complex and one real flat buffer that every chunk reuses.
     The transfer matrix is an isometry on the modes the sums keep, so sum_m conj(u_im) u_jm does not
     depend on phi, nor does sum_m |u_im|^2: the slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi =
     (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0, with du port a's derivative row applied to (a, b).
     The exact slope is real, so a slope's imaginary residue may reach the residue tolerance or
     slope_bound (:func:`_slope_bound`), whichever is larger.
     """
-    matrix, derivative = _transfer_matrix(phis, loss_r, with_derivative=slope_bound is not None)
+    matrix, derivative = _grid_transfer_matrix(phis.tobytes(), loss_r, slope_bound is not None)
     shape = (len(w), len(w), len(phis))
     exponent, cross, gauss = (buffer[: math.prod(shape)].reshape(shape) for buffer in work)
     aa, ab, c0 = amps_in[:, 0, None], amps_in[:, 1, None], _PORT_A_CROSS[scheme]
     port_a = aa * matrix[0, 0] + ab * matrix[0, 1]
     for m in (0, *_traced_modes(loss_r)):
         u = aa * matrix[m, 0] + ab * matrix[m, 1] if m else port_a
-        uu = np.abs(u) ** 2
-        np.add(uu[:, None], uu[None, :], out=gauss)
-        gauss *= -0.5
+        half = np.abs(u) ** 2 * -0.5
         mode = cross if m else exponent  # port a's exponent starts the sum, and each traced mode's is added to it
-        np.multiply(((1.0 if m else c0) * np.conj(u))[:, None], u[None, :], out=mode)
-        np.add(gauss, mode, out=mode)
+        np.add(half[:, None], half[None, :], out=gauss if m or c0 else mode)
+        if m or c0:  # a zero c_0 would add a product of zeros
+            np.multiply(((1.0 if m else c0) * np.conj(u))[:, None], u[None, :], out=mode)
+            np.add(gauss, mode, out=mode)
         if m:
             exponent += cross
     terms = np.exp(exponent, out=exponent)
@@ -325,7 +338,7 @@ def _interpolation_bounds(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, lo
     C_ij = conj(B_ji) and Re A_ij = Re A_ji, so the tails towards -n sum to those
     towards +n.  The bound is +inf where some |B| reaches N + 1.
     """
-    u = amps_in @ _transfer_matrix(np.array([0.0, math.pi]), loss_r)[0][0]
+    u = amps_in @ _grid_transfer_matrix(np.array([0.0, math.pi]).tobytes(), loss_r, False)[0][0]
     p, q = 0.5 * (u[:, 0] + u[:, 1]), 0.5 * (u[:, 0] - u[:, 1])  # (K,): port a's M0 and M1 amplitudes
     c = _PORT_A_CROSS[scheme] - 1.0
     cp = c * np.conj(p)[:, None]
@@ -369,9 +382,8 @@ def _fourier_resample(samples: np.ndarray, n_phi: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n_phi, norm="forward")
 
 
-def _sweep(state_a, state_b, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
-    """The bare pair kernel: raw <Pi> or <Z> at each of the P phases, in CURVE_CHUNK blocks, and slopes if wanted (else None)."""
-    w, amps_in = _input_pairs(state_a, state_b)
+def _sweep(w: np.ndarray, amps_in: np.ndarray, scheme: Scheme, phis, loss_r: float, want_derivative: bool):
+    """The bare pair kernel on the pairs of :func:`_input_pairs`: raw <Pi> or <Z> at the P phases, in CURVE_CHUNK blocks, and slopes if wanted (else None)."""
     phis = _check_phase(phis)
     if np.ndim(phis) != 1:
         raise ValueError("phases of a curve must be a 1-D array")
@@ -415,14 +427,14 @@ def expectation_curve(
     the roadmap); then the keyword is deleted.
     """
     if direct:
-        return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=False)[0]
-    phis = _check_phase(phis)
+        return _sweep(*_input_pairs(state_a, state_b), scheme, phis, loss_r, want_derivative=False)[0]
+    phis, pairs = _check_phase(phis), _input_pairs(state_a, state_b)
     n_period = _period_length(phis) if np.ndim(phis) == 1 else 0
     stride = 1
     if n_period:
-        stride = n_period // _spectral_count(*_input_pairs(state_a, state_b), scheme, _check_loss(loss_r), n_period)
+        stride = n_period // _spectral_count(*pairs, scheme, _check_loss(loss_r), n_period)
     grid = phis[:n_period:stride] if stride > 1 else phis
-    values = _sweep(state_a, state_b, scheme, grid, loss_r, want_derivative=False)[0]
+    values = _sweep(*pairs, scheme, grid, loss_r, want_derivative=False)[0]
     if stride > 1:
         values = _fourier_resample(values, n_period)
         values = values if n_period == len(phis) else np.append(values, values[0])
@@ -446,7 +458,7 @@ def expectation_derivative_curve(
     Each pair term differentiates to itself times the derivative of its exponent, which port a's
     amplitudes alone carry (:func:`_chunk_sums`); no finite differencing is involved.
     """
-    return _sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)[1]
+    return _sweep(*_input_pairs(state_a, state_b), scheme, phis, loss_r, want_derivative=True)[1]
 
 
 def reduced_port_a(out: FourModeOutput) -> CoherentOperator:

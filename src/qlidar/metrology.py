@@ -63,6 +63,9 @@ class SignalCurve:
         values = np.asarray(self.values, dtype=float)
         if phis.ndim != 1 or phis.shape != values.shape:
             raise ValueError("phis and values must be matching 1-D arrays")
+        for name, array in (("phis", phis), ("values", values)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
         if len(phis) < 2 or np.any(np.diff(phis) <= 0):
             raise ValueError("phis must be strictly increasing with at least 2 samples")
         object.__setattr__(self, "phis", phis)
@@ -132,10 +135,10 @@ def sensitivity_curve(
     A slope within its rounding bound B (:func:`~qlidar.detection._slope_bound`) is zero to rounding.
     """
     floor = snl(state_a, state_b)
-    phis = np.asarray(phis, dtype=float)
-    values, slopes = detection._sweep(state_a, state_b, scheme, phis, loss_r, want_derivative=True)
+    phis, pairs = np.asarray(phis, dtype=float), detection._input_pairs(state_a, state_b)
+    values, slopes = detection._sweep(*pairs, scheme, phis, loss_r, want_derivative=True)
     variance = np.maximum(0.0, (1.0 if scheme is Scheme.PARITY else values) - values * values)
-    flat = (np.abs(slopes) <= detection._slope_bound(*detection._input_pairs(state_a, state_b))) | (variance <= 0.0)
+    flat = (np.abs(slopes) <= detection._slope_bound(*pairs)) | (variance <= 0.0)
     delta_phi = np.sqrt(variance) / np.where(flat, 1.0, np.abs(slopes))
     delta_phi[flat] = math.inf
     # tuple.__new__ is what the NamedTuple constructor calls, without its per-point Python frame

@@ -14,7 +14,7 @@ from helpers import (
 )
 from qlidar import detection, fock_oracle, metrology
 from qlidar.detection import Scheme
-from qlidar.interferometer import MziConfig, propagate
+from qlidar.interferometer import MziConfig, _transfer_matrix, mode_transform, propagate
 from qlidar.states import StateKind, SuperposedState, make_state, vacuum
 
 
@@ -414,3 +414,55 @@ class TestTracedModes:
             assert op.coeffs.tobytes() == (np.conj(w)[:, None] * w[None, :] * rest).tobytes()
             assert op.amplitudes.tobytes() == a.tobytes()
 
+
+
+class TestGridTransferMatrix:
+    """Curve chunks read their transfer matrix from a memo of GRID_MATRICES read-only entries, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        detection._grid_transfer_matrix.cache_clear()
+
+    @pytest.mark.parametrize("loss_r", [0.0, 0.3])
+    @pytest.mark.parametrize("scheme", [Scheme.PARITY, Scheme.Z])
+    def test_cold_and_warm_sweeps_are_bit_equal(self, scheme, loss_r):
+        pairs = detection._input_pairs(make_state(StateKind.MPS3, math.sqrt(2.0)), cs(2.0))
+        grid = np.linspace(-math.pi, math.pi, 2 * detection.CURVE_CHUNK + 5)  # three chunks
+        for want_derivative in (False, True):
+            detection._grid_transfer_matrix.cache_clear()
+            cold = detection._sweep(*pairs, scheme, grid, loss_r, want_derivative)
+            warm = detection._sweep(*pairs, scheme, grid, loss_r, want_derivative)
+            info = detection._grid_transfer_matrix.cache_info()
+            assert (info.hits, info.misses) == (3, 3)
+            assert [x.tobytes() for x in cold if x is not None] == [x.tobytes() for x in warm if x is not None]
+            assert (cold[1] is None) == (warm[1] is None) == (not want_derivative)
+
+    @pytest.mark.parametrize("loss_r", [0.0, 0.3])
+    def test_cached_matrices_are_fresh_ones_read_only(self, loss_r):
+        phis = np.linspace(-1.0, 2.0, 9)
+        for want_derivative in (False, True):
+            got = detection._grid_transfer_matrix(phis.tobytes(), loss_r, want_derivative)
+            fresh = _transfer_matrix(phis, loss_r, want_derivative)
+            assert (got[1] is None) == (fresh[1] is None) == (not want_derivative)
+            for cached, built in zip(got, fresh):
+                if built is not None:
+                    assert cached.tobytes() == built.tobytes() and cached.shape == built.shape
+                    assert not cached.flags.writeable
+                    with pytest.raises(ValueError):
+                        cached[0, 0, 0] = 1.0
+
+    def test_memo_never_exceeds_its_size(self):
+        sa = cs(2.0)
+        for k in range(3 * detection.GRID_MATRICES):
+            detection.expectation_derivative_curve(sa, vacuum(), Scheme.PARITY, np.linspace(0.0, 1.0 + k, 5))
+            assert detection._grid_transfer_matrix.cache_info().currsize <= detection.GRID_MATRICES
+        assert detection._grid_transfer_matrix.cache_info().currsize == detection.GRID_MATRICES
+
+    def test_evaluator_and_mode_transform_add_no_entries(self):
+        sa, phis = make_state(StateKind.MPS1, 1.2), np.linspace(-1.0, 2.0, 9)
+        for scheme in (Scheme.PARITY, Scheme.Z):
+            evaluate = detection.expectation_evaluator(sa, cs(2.0), scheme, 0.2)
+            evaluate(0.7), evaluate(phis)
+            detection.expectation(sa, vacuum(), MziConfig(phi=0.7), scheme)
+        mode_transform(phis, 0.2), mode_transform(0.7)
+        assert detection._grid_transfer_matrix.cache_info().currsize == 0

@@ -129,6 +129,12 @@ class TestSignalCurve:
             ([0.0], [1.0], "phis must be strictly increasing with at least 2 samples"),
             ([0.0, 1.0, 1.0], [0.0, 1.0, 0.0], "phis must be strictly increasing with at least 2 samples"),
             ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], "phis must be strictly increasing with at least 2 samples"),
+            # a NaN phase passes the increasing check, and fwhm never returned on an infinite one
+            ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0], "phis must be finite"),
+            ([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0], "phis must be finite"),
+            ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0], "phis must be finite"),
+            ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], "values must be finite"),
+            ([0.0, 1.0, 2.0], [0.0, -np.inf, 0.0], "values must be finite"),
         ],
     )
     def test_rejects_malformed_samples(self, phis, values, message):

@@ -190,13 +190,13 @@ def test_chunk_kernel_is_the_amplitude_stack_kernel_bit_for_bit(kind, alpha2, sb
         ref = [reference_chunk(w, amps_in, grid[part], loss_r, scheme, bound) for part in chunks]
     except ArithmeticError as exc:  # a residue past its tolerance at small alpha2: the kernel raises it alike
         with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
-            detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=True)
+            detection._sweep(w, amps_in, scheme, grid, loss_r, want_derivative=True)
         return
     ref_values, ref_slopes = (np.concatenate(parts) for parts in zip(*ref))
-    values, slopes = detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=True)
+    values, slopes = detection._sweep(w, amps_in, scheme, grid, loss_r, want_derivative=True)
     assert values.tobytes() == ref_values.tobytes()
     assert slopes.tobytes() == ref_slopes.tobytes()
-    assert detection._sweep(sa, sb, scheme, grid, loss_r, want_derivative=False)[0].tobytes() == ref_values.tobytes()
+    assert detection._sweep(w, amps_in, scheme, grid, loss_r, want_derivative=False)[0].tobytes() == ref_values.tobytes()
 
 
 @PROPERTY_SETTINGS
