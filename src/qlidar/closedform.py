@@ -62,16 +62,12 @@ class ClosedFormContext:
     S2: float
     T1: float
     T2: float
-    U: float
-    O: float
     G_prime: float
     W_prime: float
     S1_prime: float
     S2_prime: float
     T1_prime: float
     T2_prime: float
-    U_prime: float
-    O_prime: float
 
     @property
     def X(self) -> float:
@@ -139,9 +135,9 @@ def closed_form_context(
         j=j, mod_a=a, mod_b=b, mod_c=c, mod_d=d,
         alpha2=float(alpha2), zeta2=float(zeta2), phi=phi, t=t, r=r,
         p=p, q=q, x=x, p_prime=p_prime, x_prime=x_prime,
-        G=G, W=W, S1=S1, S2=S2, T1=T1, T2=T2, U=U, O=O,
+        G=G, W=W, S1=S1, S2=S2, T1=T1, T2=T2,
         G_prime=G_prime, W_prime=W_prime, S1_prime=S1_prime, S2_prime=S2_prime,
-        T1_prime=T1_prime, T2_prime=T2_prime, U_prime=U_prime, O_prime=O_prime,
+        T1_prime=T1_prime, T2_prime=T2_prime,
     )
 
 

@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .interferometer import FourModeOutput, MziConfig, _check_cutoff, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
-from .states import IMAG_RESIDUE_TOL, CoherentOperator, SuperposedState, _overlap_exponent, _real_part
+from .interferometer import FourModeOutput, _check_cutoff, _check_loss, _check_phase, _input_pairs, _output, _transfer_matrix
+from .states import CoherentOperator, SuperposedState, _overlap_exponent, _real_part, _unreal
 
 NEGATIVE_PROBABILITY_TOL = -1e-10
 CURVE_CHUNK = 1024  # phases per (K, K, P) pair block of a curve sweep
@@ -144,13 +144,11 @@ def _photon_probabilities(w: np.ndarray, a: np.ndarray, rest: np.ndarray, cutoff
     port = np.zeros((cutoff,) + z.shape, dtype=complex)
     port[:, nz] = np.exp(gauss[nz] + ns * np.log(z[nz]) - log_factorial)
     vals = np.einsum("nij,ij->n", port, np.conj(w)[:, None] * rest * w[None, :])
-    real = vals.real
-    bad = ~np.isfinite(vals) | (np.abs(vals.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(real)))
-    bad |= real < NEGATIVE_PROBABILITY_TOL
+    bad = _unreal(vals) | (vals.real < NEGATIVE_PROBABILITY_TOL)
     if np.count_nonzero(bad):
         n = int(np.argmax(bad)) + 1  # the first offending photon number
         raise NegativeProbability(f"P({n}) = {_real_part(vals[n - 1], f'P({n})'):.3e}")
-    probs[1:] = real
+    probs[1:] = vals.real
     return probs.clip(0.0, 1.0)
 
 
@@ -207,21 +205,6 @@ def z_expectation(out: FourModeOutput):
     return p0 if p0.ndim else float(p0)
 
 
-def expectation_derivative(
-    state_a: SuperposedState,
-    state_b: SuperposedState,
-    config: MziConfig,
-    scheme: Scheme,
-) -> float:
-    """Analytic d<X>/dphi for X = parity or the vacuum projector at one phase."""
-    return float(expectation_derivative_curve(state_a, state_b, scheme, [config.phi], config.loss_r)[0])
-
-
-def expectation(state_a: SuperposedState, state_b: SuperposedState, config: MziConfig, scheme: Scheme) -> float:
-    """<Pi> or <Z> for the given inputs and interferometer setting."""
-    return expectation_evaluator(state_a, state_b, scheme, config.loss_r)(config.phi)
-
-
 def expectation_evaluator(
     state_a: SuperposedState, state_b: SuperposedState, scheme: Scheme, loss_r: float = 0.0
 ) -> Callable:
@@ -253,11 +236,12 @@ def _slope_bound(w: np.ndarray, amps_in: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=GRID_MATRICES)
 def _grid_transfer_matrix(phis: bytes, loss_r: float, with_derivative: bool):
-    """:func:`_transfer_matrix` and its derivative at the float64 phases in ``phis``, read-only: built once per grid chunk."""
-    pair = _transfer_matrix(np.frombuffer(phis), loss_r, with_derivative)
-    for array in pair[: 1 + with_derivative]:
+    """Read-only copies of the rows that the pair sums keep (:func:`_traced_modes`) of :func:`_transfer_matrix` and its derivative at the float64 phases in ``phis``: built once per grid chunk."""
+    rows = 1 + len(_traced_modes(loss_r))
+    pair = [array[:rows].copy() for array in _transfer_matrix(np.frombuffer(phis), loss_r, with_derivative)[: 1 + with_derivative]]
+    for array in pair:
         array.flags.writeable = False
-    return pair
+    return pair[0], pair[1] if with_derivative else None
 
 
 def _chunk_sums(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: float | None, work):
@@ -271,8 +255,7 @@ def _chunk_sums(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: fl
     The transfer matrix is an isometry on the modes the sums keep, so sum_m conj(u_im) u_jm does not
     depend on phi, nor does sum_m |u_im|^2: the slope exponent is (c_0 - 1) d(conj(u_i0) u_j0)/dphi =
     (c_0 - 1) (X + conj(X^T)), X_ij = conj(du_i) u_j0, with du port a's derivative row applied to (a, b).
-    The exact slope is real, so a slope's imaginary residue may reach the residue tolerance or
-    slope_bound (:func:`_slope_bound`), whichever is larger.
+    The exact slope is real, so slope_bound (:func:`_slope_bound`) is the residue floor of its sums.
     """
     matrix, derivative = _grid_transfer_matrix(phis.tobytes(), loss_r, slope_bound is not None)
     shape = (len(w), len(w), len(phis))
@@ -297,9 +280,7 @@ def _chunk_sums(w, amps_in, phis, loss_r: float, scheme: Scheme, slope_bound: fl
     x = np.multiply(np.conj(aa * derivative[0, 0] + ab * derivative[0, 1])[:, None, :], port_a[None, :, :], out=cross)
     x += np.conj(x.transpose(1, 0, 2))
     x *= terms
-    slopes = (c0 - 1.0) * np.sum(x, axis=(0, 1))
-    rounding = np.abs(slopes.imag) <= np.maximum(IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(slopes.real)), slope_bound)
-    return values, _real_part(np.where(rounding, slopes.real, slopes), "slope curve")
+    return values, _real_part((c0 - 1.0) * np.sum(x, axis=(0, 1)), "slope curve", slope_bound)
 
 
 def periodic_phase_grid(samples: int = 4096, start: float = -math.pi) -> np.ndarray:

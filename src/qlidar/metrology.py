@@ -32,7 +32,7 @@ import numpy as np
 
 from . import detection
 from .detection import TWO_PI, Scheme, periodic_phase_grid
-from .interferometer import MziConfig, _check_loss
+from .interferometer import _check_loss, _check_phase
 from .states import SuperposedState, mean_photon_number
 
 REFINE_TOL = 1e-8
@@ -108,16 +108,6 @@ def snl(state_a: SuperposedState, state_b: SuperposedState) -> float:
     if total < ZERO_ENERGY_THRESHOLD:
         raise ZeroEnergy("total input photon number is zero")
     return 1.0 / math.sqrt(total)
-
-
-def phase_sensitivity(
-    state_a: SuperposedState,
-    state_b: SuperposedState,
-    config: MziConfig,
-    scheme: Scheme,
-) -> SensitivityPoint:
-    """Delta-phi from the binary observable's variance and analytic slope at one phase."""
-    return sensitivity_curve(state_a, state_b, scheme, [config.phi], config.loss_r)[0]
 
 
 def sensitivity_curve(
@@ -306,6 +296,8 @@ def _raw_peaks(curve: SignalCurve, lo: float, hi: float, side: str, midline, thr
         raise ValueError("side must be 'upper', 'lower' or 'folded'")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("window bounds must be finite")
+    if not (math.isfinite(threshold) and (midline is None or math.isfinite(midline))):
+        raise ValueError("midline and threshold must be finite")  # a NaN one would silently find no peak
     if not hi > lo:
         raise ValueError("window must have positive width")
     phis, values = curve.phis, curve.values
@@ -391,7 +383,7 @@ def loss_sweep(
     rows = []
     for r in [_check_loss(r) for r in r_grid]:  # the whole grid is checked before any work
         if metric == "ratio":
-            rows.append((r, phase_sensitivity(state_a, state_b, MziConfig(phi=phi, loss_r=r), scheme).ratio))
+            rows.append((r, sensitivity_curve(state_a, state_b, scheme, [_check_phase(float(phi))], r)[0].ratio))
         else:
             rows.append((r, fwhm(sample_curve(state_a, state_b, scheme, loss_r=r))))
     return rows
@@ -399,6 +391,8 @@ def loss_sweep(
 
 def range_from_phase(phi: float, wavelength: float) -> float:
     """Target distance for a measured round-trip phase at the given wavelength."""
+    if not (math.isfinite(phi) and math.isfinite(wavelength)):
+        raise ValueError("phase and wavelength must be finite")
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     return phi * wavelength / (4.0 * math.pi)

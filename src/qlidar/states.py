@@ -25,24 +25,31 @@ class DegenerateState(ValueError, ArithmeticError):
     """Term list with numerically zero norm (e.g. MPS with j != 0 at alpha -> 0)."""
 
 
-def _real_part(value, what: str):
+def _unreal(value, floor: float = 0.0):
+    """Which sums of an array are not finite or keep |imag| > max(IMAG_RESIDUE_TOL * max(1, |real|), floor)."""
+    allowed = np.maximum(IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real)), floor)
+    return ~np.isfinite(value) | (np.abs(value.imag) > allowed)
+
+
+def _real_part(value, what: str, floor: float = 0.0):
     """Real part of a complex sum or of an array of sums that are finite with a small enough imaginary residue.
 
     The package's one residue check.  Each sum must be finite and may keep
-    |imag| <= IMAG_RESIDUE_TOL * max(1, |real|); an array whose largest residue is within
-    IMAG_RESIDUE_TOL and whose real parts are all finite passes without the per-element test,
+    |imag| <= max(IMAG_RESIDUE_TOL * max(1, |real|), floor), the floor a sum's own rounding
+    bound where it has one; an array whose largest residue is within max(IMAG_RESIDUE_TOL, floor)
+    and whose real parts are all finite passes without the per-element test (:func:`_unreal`),
     and otherwise raises as the call on its first offending element does.
     """
     if isinstance(value, np.ndarray):
         # NaN fails every comparison, so the pre-check asks for what passes
-        if not (np.max(np.abs(value.imag), initial=0.0) <= IMAG_RESIDUE_TOL and np.isfinite(value.real).all()):
-            bad = ~np.isfinite(value) | (np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real)))
+        if not (np.max(np.abs(value.imag), initial=0.0) <= max(IMAG_RESIDUE_TOL, floor) and np.isfinite(value.real).all()):
+            bad = _unreal(value, floor)
             if bad.any():
-                _real_part(value.flat[np.argmax(bad)], what)
+                _real_part(value.flat[np.argmax(bad)], what, floor)
         return value.real
     if not cmath.isfinite(value):
         raise ArithmeticError(f"{what} is not finite: {complex(value)}")
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
+    if abs(value.imag) > max(IMAG_RESIDUE_TOL * max(1.0, abs(value.real)), floor):
         raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -102,7 +109,8 @@ MPS_INDEX = {StateKind.MPS0: 0, StateKind.MPS1: 1, StateKind.MPS2: 2, StateKind.
 class SuperposedState:
     """sum_k weights[k] |amplitudes[k]>, two read-only (K,) arrays; the weights are scaled to unit norm when built.
 
-    A non-finite Gram sum raises ArithmeticError, a numerically zero one :class:`DegenerateState`.
+    A non-finite Gram sum raises ArithmeticError, one numerically zero against the largest
+    |weight|^2 :class:`DegenerateState`, so that scaling the weights changes neither outcome.
     """
 
     weights: np.ndarray
@@ -110,7 +118,7 @@ class SuperposedState:
 
     def __post_init__(self):
         w, a = _coherent_arrays(self.weights, self.amplitudes)
-        w = w * _inverse_norm(_gram(w, a))
+        w = w * _inverse_norm(_gram(w, a), w)
         w.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "amplitudes", a)
@@ -126,11 +134,12 @@ def _gram(w: np.ndarray, a: np.ndarray) -> float:
     return total
 
 
-def _inverse_norm(total: float) -> float:
+def _inverse_norm(total: float, w: np.ndarray) -> float:
     if not math.isfinite(total):
         raise ArithmeticError(f"Gram sum is {total}")
-    if total < GRAM_DEGENERACY_THRESHOLD:
-        raise DegenerateState(f"Gram sum {total:.3e} below {GRAM_DEGENERACY_THRESHOLD:g}")
+    threshold = GRAM_DEGENERACY_THRESHOLD * float(np.max(np.abs(w))) ** 2
+    if not total > 0.0 or total < threshold:  # weights that are all zero, or underflow when squared, leave threshold 0
+        raise DegenerateState(f"Gram sum {total:.3e} below {threshold:g}")
     return 1.0 / math.sqrt(total)
 
 

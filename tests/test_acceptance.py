@@ -96,10 +96,9 @@ def test_criterion_3_analytic_derivatives():
         scheme = Scheme.PARITY if rng.random() < 0.5 else Scheme.Z
         sa = make_state(kind, math.sqrt(alpha2))
         sb = _second_input(zeta2)
-        analytic = detection.expectation_derivative(sa, sb, MziConfig(phi=phi, loss_r=loss_r), scheme)
-        up = detection.expectation(sa, sb, MziConfig(phi=phi + step, loss_r=loss_r), scheme)
-        down = detection.expectation(sa, sb, MziConfig(phi=phi - step, loss_r=loss_r), scheme)
-        fd = (up - down) / (2 * step)
+        analytic = detection.expectation_derivative_curve(sa, sb, scheme, [phi], loss_r)[0]
+        evaluate = detection.expectation_evaluator(sa, sb, scheme, loss_r)
+        fd = (evaluate(phi + step) - evaluate(phi - step)) / (2 * step)
         rel = abs(analytic - fd) / max(abs(fd), 1e-12)
         worst = max(worst, rel)
         assert rel < DERIVATIVE_REL_TOL, (kind, alpha2, zeta2, phi, loss_r, scheme)
@@ -163,9 +162,7 @@ def test_criterion_6_fwhm_convergence():
 
 
 def test_criterion_7_snl_saturation():
-    point = met.phase_sensitivity(
-        make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
-    )
+    (point,) = met.sensitivity_curve(make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), Scheme.PARITY, [0.02])
     assert 0.98 <= point.ratio <= 1.05
     _passline(7, f"coherent-state ratio at phi=0.02 is {point.ratio:.5f}")
 

@@ -353,12 +353,9 @@ class TestLoss:
         assert header == ["loss_r", "ratio"]
         from qlidar import metrology as met
         from qlidar.detection import Scheme
-        from qlidar.interferometer import MziConfig
         from qlidar.states import StateKind, make_state, vacuum
 
-        lossless = met.phase_sensitivity(
-            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
-        )
+        (lossless,) = met.sensitivity_curve(make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), Scheme.PARITY, [0.02])
         assert float(rows[0][1]) == pytest.approx(lossless.ratio, abs=1e-12)
 
 

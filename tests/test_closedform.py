@@ -42,10 +42,10 @@ def test_vacuum_input_forms(kind):
                 )
                 assert cf.z_vacuum(ctx) == pytest.approx(detection.z_expectation(out), abs=TOL)
                 assert cf.parity_derivative_vacuum(ctx) == pytest.approx(
-                    detection.expectation_derivative(sa, vacuum(), cfg, Scheme.PARITY), abs=TOL
+                    detection.expectation_derivative_curve(sa, vacuum(), Scheme.PARITY, [phi], loss_r)[0], abs=TOL
                 )
                 assert cf.z_derivative_vacuum(ctx) == pytest.approx(
-                    detection.expectation_derivative(sa, vacuum(), cfg, Scheme.Z), abs=TOL
+                    detection.expectation_derivative_curve(sa, vacuum(), Scheme.Z, [phi], loss_r)[0], abs=TOL
                 )
                 p_plus, p_minus = binary_probabilities(out)
                 c_plus, c_minus = cf.binary_vacuum(ctx)
@@ -73,10 +73,10 @@ def test_coherent_input_forms(kind, zeta2):
                 )
                 assert cf.z_coherent(ctx) == pytest.approx(detection.z_expectation(out), abs=TOL)
                 assert cf.parity_derivative_coherent(ctx) == pytest.approx(
-                    detection.expectation_derivative(sa, sb, cfg, Scheme.PARITY), abs=TOL
+                    detection.expectation_derivative_curve(sa, sb, Scheme.PARITY, [phi], loss_r)[0], abs=TOL
                 )
                 assert cf.z_derivative_coherent(ctx) == pytest.approx(
-                    detection.expectation_derivative(sa, sb, cfg, Scheme.Z), abs=TOL
+                    detection.expectation_derivative_curve(sa, sb, Scheme.Z, [phi], loss_r)[0], abs=TOL
                 )
                 p_plus, p_minus = binary_probabilities(out)
                 c_plus, c_minus = cf.binary_coherent(ctx)

@@ -84,7 +84,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("total", [math.nan, math.inf])
     def test_inverse_norm_rejects_non_finite(self, total):
         with pytest.raises(ArithmeticError, match="^Gram sum is "):
-            states._inverse_norm(total)
+            states._inverse_norm(total, np.ones(1))
 
     def test_wigner_bound_rejects_nan(self, monkeypatch):
         monkeypatch.setattr(wigner, "_evaluate", lambda op, y1, y2: np.full((len(y1), len(y2)), np.nan))
@@ -113,8 +113,7 @@ class TestP0Floor:
         for j, kind in enumerate([StateKind.MPS0, StateKind.MPS1, StateKind.MPS2, StateKind.MPS3]):
             for phi in (0.3, 1.1, 2.7):
                 for loss_r in (0.0, 0.2):
-                    config = MziConfig(phi=phi, loss_r=loss_r)
-                    got = detection.expectation(make_state(kind, math.sqrt(2.0)), vacuum(), config, Scheme.Z)
+                    got = detection.expectation_evaluator(make_state(kind, math.sqrt(2.0)), vacuum(), Scheme.Z, loss_r)(phi)
                     assert abs(got - reference_mps_z(j, 2.0, phi, loss_r)) < 1e-14
 
     def test_z_within_beta_of_the_series_where_the_curve_dips_below_the_floor(self):

@@ -44,7 +44,7 @@ class TestOneLossGuard:
         def computed(*args, **kwargs):
             raise AssertionError("a grid point was computed before the grid was checked")
 
-        monkeypatch.setattr(metrology, "phase_sensitivity", computed)
+        monkeypatch.setattr(metrology, "sensitivity_curve", computed)
         sa = make_state(StateKind.CS, 1.0)
         calls = {
             "config": lambda: MziConfig(phi=0.0, loss_r=1.0),

@@ -9,7 +9,6 @@ from helpers import reference_in_window, reference_principal_peak
 from qlidar import detection, metrology as met
 from qlidar import states
 from qlidar.detection import Scheme
-from qlidar.interferometer import MziConfig
 from qlidar.states import StateKind, make_state, vacuum
 
 BENCH_WIDTHS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "fwhm.json"
@@ -222,18 +221,23 @@ class TestPeakCount:
             met.peak_locations(curve, (-math.pi, math.pi))
 
     @pytest.mark.parametrize(
-        "window,side,message",
+        "window,options,message",
         [
-            ((-1, 1), "middle", "side must be 'upper', 'lower' or 'folded'"),
-            ((1.0, 1.0), "upper", "window must have positive width"),
-            ((-math.inf, 1.0), "upper", "window bounds must be finite"),
-            ((0.0, math.inf), "folded", "window bounds must be finite"),
-            ((math.nan, 1.0), "lower", "window bounds must be finite"),
+            ((-1, 1), {"side": "middle"}, "side must be 'upper', 'lower' or 'folded'"),
+            ((1.0, 1.0), {"side": "upper"}, "window must have positive width"),
+            ((-math.inf, 1.0), {"side": "upper"}, "window bounds must be finite"),
+            ((0.0, math.inf), {"side": "folded"}, "window bounds must be finite"),
+            ((math.nan, 1.0), {"side": "lower"}, "window bounds must be finite"),
+            # a NaN midline or threshold fails every comparison, so no sample would count as a peak
+            ((-math.pi, math.pi), {"side": "folded", "midline": math.nan}, "midline and threshold must be finite"),
+            ((-math.pi, math.pi), {"side": "folded", "midline": 0.0, "threshold": math.nan}, "midline and threshold must be finite"),
+            ((-math.pi, math.pi), {"side": "upper", "midline": -math.inf}, "midline and threshold must be finite"),
+            ((-math.pi, math.pi), {"side": "upper", "threshold": math.inf}, "midline and threshold must be finite"),
         ],
     )
-    def test_side_validation(self, window, side, message):
+    def test_side_validation(self, window, options, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            met.peak_locations(self._curve(StateKind.CS), window, side=side)
+            met.peak_locations(self._curve(StateKind.CS), window, **options)
 
     def test_locations_are_refined(self):
         locs = met.peak_locations(self._curve(StateKind.ECSS), (-math.pi, math.pi))
@@ -253,15 +257,11 @@ class TestSensitivity:
             met.snl(vacuum(), vacuum())
 
     def test_coherent_saturates_floor_near_zero(self):
-        point = met.phase_sensitivity(
-            make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), MziConfig(phi=0.02), Scheme.PARITY
-        )
+        (point,) = met.sensitivity_curve(make_state(StateKind.CS, math.sqrt(2.0)), vacuum(), Scheme.PARITY, [0.02])
         assert point.ratio == pytest.approx(1.0, abs=0.01)
 
     def test_stationary_point_marker(self):
-        point = met.phase_sensitivity(
-            make_state(StateKind.ECSS, 1.0), vacuum(), MziConfig(phi=0.0), Scheme.PARITY
-        )
+        (point,) = met.sensitivity_curve(make_state(StateKind.ECSS, 1.0), vacuum(), Scheme.PARITY, [0.0])
         assert math.isinf(point.delta_phi)
         assert math.isinf(point.ratio)
 
@@ -304,7 +304,7 @@ class TestLossSweep:
     def test_zero_loss_matches_lossless(self):
         sa = make_state(StateKind.ECSS, math.sqrt(2.0))
         rows = met.loss_sweep(sa, vacuum(), 0.4, Scheme.PARITY, [0.0, 0.3])
-        lossless = met.phase_sensitivity(sa, vacuum(), MziConfig(phi=0.4), Scheme.PARITY)
+        (lossless,) = met.sensitivity_curve(sa, vacuum(), Scheme.PARITY, [0.4])
         assert rows[0][1] == pytest.approx(lossless.ratio, abs=1e-12)
 
     def test_coherent_ratio_degrades_monotonically(self):
@@ -355,3 +355,8 @@ class TestRangeConversion:
     def test_wavelength_validation(self):
         with pytest.raises(ValueError):
             met.range_from_phase(1.0, 0.0)
+
+    @pytest.mark.parametrize("phi,wavelength", [(0.5, math.nan), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_rejects_non_finite(self, phi, wavelength):
+        with pytest.raises(ValueError, match="^phase and wavelength must be finite$"):
+            met.range_from_phase(phi, wavelength)

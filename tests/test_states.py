@@ -145,6 +145,15 @@ class TestNormalization:
         with pytest.raises(DegenerateState):
             make_state(StateKind.MPS3, 1e-9)
 
+    def test_degeneracy_is_relative_to_the_largest_weight(self):
+        # a valid coherent state whose Gram sum, 1e-14, is small only because its weight is
+        s = SuperposedState([1e-7], [0.3])
+        assert s.weights[0] == pytest.approx(1.0, abs=1e-15)
+        assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        # weights that are all zero leave no scale to compare with and stay degenerate
+        with pytest.raises(DegenerateState, match="^Gram sum 0.000e[+]00 below 0$"):
+            SuperposedState([0.0, 0.0], [0.3, -0.3])
+
     def test_explicit_terms_normalized(self):
         s = SuperposedState([0.3, 2.0 - 1.0j], [0.5, -0.2 + 0.1j])
         assert gram_sum(s.weights, s.amplitudes) == pytest.approx(1.0, abs=1e-12)
